@@ -31,6 +31,27 @@ std::exception_ptr capture_error(ErrorCode code, const std::string& what) {
   }
 }
 
+/// Queues a failed acquire / with-cont ack for `task`.
+void nak_acquire(Channel& ch, const TaskNode* task, ObjectId obj,
+                 ErrorCode code, std::string what) {
+  AcquireAckMsg nak;
+  nak.task = task->id();
+  nak.obj = obj;
+  nak.ok = false;
+  nak.error_code = code;
+  nak.error = std::move(what);
+  ch.queue(FrameType::kAcquireAck, pack(nak));
+}
+void nak_with_cont(Channel& ch, const TaskNode* task, ErrorCode code,
+                   std::string what) {
+  WithContAckMsg nak;
+  nak.task = task->id();
+  nak.ok = false;
+  nak.error_code = code;
+  nak.error = std::move(what);
+  ch.queue(FrameType::kWithContAck, pack(nak));
+}
+
 }  // namespace
 
 ClusterEngine::ClusterEngine(Options options, SchedPolicy sched,
@@ -296,7 +317,7 @@ void ClusterEngine::run(std::function<void(TaskContext&)> root_body) {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.finish_time = wall_now() - run_start;
     stats_.tasks_created = serializer_.tasks_created();
-    stats_.throttle_suspensions = throttle_.suspensions();
+    throttle_.publish(stats_);
     stats_.heartbeats_sent = heartbeats_;
     // Real wire accounting replaces the protocol's modeled counts: frames
     // and bytes that actually crossed the sockets, both directions.
@@ -481,38 +502,41 @@ void ClusterEngine::handle_spawn_locked(int s, const SpawnMsg& msg) {
   // re-run would create its children twice.
   recs_[parent].restartable = false;
   if (aborting_) return;
-  if (msg.body < 0 || msg.body >= BodyRegistry::instance().size()) {
-    abort_run_locked(std::make_exception_ptr(ConfigError(
-        "spawn names unregistered body index " + std::to_string(msg.body))));
-    return;
-  }
-  if (msg.placement >= options_.workers) {
-    abort_run_locked(std::make_exception_ptr(
-        ConfigError("task placement " + std::to_string(msg.placement) +
-                    " exceeds the cluster's " +
-                    std::to_string(options_.workers) + " workers")));
-    return;
-  }
   std::vector<AccessRequest> requests;
   requests.reserve(msg.requests.size());
   for (const ReqMsg& r : msg.requests)
     requests.push_back({r.obj, r.add_immediate, r.add_deferred, r.remove});
-  TaskNode* child = nullptr;
   try {
-    child = serializer_.create_task(parent, requests, {}, msg.name);
+    create_registered_locked(parent, requests, msg.body, msg.args, msg.name,
+                             msg.placement);
   } catch (...) {
-    // Hierarchy/tenant violations from a remote spawn have no ack channel
-    // to ride back on; they end the run, like a root-thread throw.
+    // Bad body indices and hierarchy/tenant violations from a remote spawn
+    // have no ack channel to ride back on; they end the run, like a
+    // root-thread throw.
     abort_run_locked(std::current_exception());
     return;
   }
-  child->placement = msg.placement;
-  TaskRec rec;
-  rec.body = msg.body;
-  rec.args = msg.args;
-  recs_[child] = std::move(rec);
   drain_unblocked_locked();
   pump_locked();
+}
+
+TaskNode* ClusterEngine::create_registered_locked(
+    TaskNode* parent, const std::vector<AccessRequest>& requests, int body,
+    std::vector<std::byte> args, std::string name, MachineId placement) {
+  if (body < 0 || body >= BodyRegistry::instance().size())
+    throw ConfigError("spawn names unregistered body index " +
+                      std::to_string(body));
+  if (placement >= options_.workers)
+    throw ConfigError("task placement " + std::to_string(placement) +
+                      " exceeds the cluster's " +
+                      std::to_string(options_.workers) + " workers");
+  TaskNode* child =
+      serializer_.create_task(parent, requests, {}, std::move(name));
+  child->placement = placement;
+  TaskRec& rec = recs_[child];
+  rec.body = body;
+  rec.args = std::move(args);
+  return child;
 }
 
 void ClusterEngine::handle_with_cont_locked(int s, const WithContMsg& msg) {
@@ -528,12 +552,8 @@ void ClusterEngine::handle_with_cont_locked(int s, const WithContMsg& msg) {
   rec.restartable = false;
 
   if (aborting_) {
-    WithContAckMsg nak;
-    nak.task = task->id();
-    nak.ok = false;
-    nak.error_code = ErrorCode::kUnrecoverable;
-    nak.error = "run aborted";
-    slot.channel->queue(FrameType::kWithContAck, pack(nak));
+    nak_with_cont(*slot.channel, task, ErrorCode::kUnrecoverable,
+                  "run aborted");
     return;
   }
 
@@ -542,18 +562,8 @@ void ClusterEngine::handle_with_cont_locked(int s, const WithContMsg& msg) {
     if (item.has_payload)
       apply_writeback_locked(item.req.obj, item.payload, slot.machine);
 
-  // 2. Retired commute rights return their tokens (possibly handing them
-  //    to the oldest waiter) before the serializer sees the removal.
-  for (const WithContItem& item : msg.items) {
-    if (item.req.remove & access::kCommute) {
-      TaskNode* next = nullptr;
-      if (tokens_.release(item.req.obj, task, &next) && next != nullptr)
-        grant_token_locked(next, item.req.obj);
-    }
-  }
-
-  // 3. Spec update with the substantive requests; zero-bit items are pure
-  //    payload flushes (the pre-spawn flush) and must not reach update_spec.
+  // 2. The substantive requests; zero-bit items are pure payload flushes
+  //    (the pre-spawn flush) and must not reach update_spec.
   PendingRpc rpc;
   rpc.kind = PendingRpc::Kind::kWithCont;
   rpc.worker = slot.machine;
@@ -561,17 +571,17 @@ void ClusterEngine::handle_with_cont_locked(int s, const WithContMsg& msg) {
     if (item.req.add_immediate | item.req.add_deferred | item.req.remove)
       rpc.requests.push_back({item.req.obj, item.req.add_immediate,
                               item.req.add_deferred, item.req.remove});
+
+  // 3. Retired commute rights return their tokens (possibly handing them
+  //    to the oldest waiter) before the serializer sees the removal.
+  release_retired_tokens_locked(task, rpc.requests);
+
   bool must_block = false;
   if (!rpc.requests.empty()) {
     try {
       must_block = serializer_.update_spec(task, rpc.requests);
     } catch (const std::exception& e) {
-      WithContAckMsg nak;
-      nak.task = task->id();
-      nak.ok = false;
-      nak.error_code = classify_error(e);
-      nak.error = e.what();
-      slot.channel->queue(FrameType::kWithContAck, pack(nak));
+      nak_with_cont(*slot.channel, task, classify_error(e), e.what());
       drain_unblocked_locked();
       pump_locked();
       return;
@@ -602,40 +612,13 @@ void ClusterEngine::finish_with_cont_locked(TaskNode* task,
           {req.obj, (req.add_immediate & access::kWrite) != 0, true});
   if (!items.empty()) coherence_->fetch(w, items);
 
+  // Conversions to rd/wr need a current local copy; cm conversions get
+  // theirs at the accessor RPC, after the token serializes them.
   WithContAckMsg ack;
   ack.task = task->id();
-  for (const AccessRequest& req : rpc.requests) {
-    DeclRecord* r = task->find_record(req.obj);
-    ObjectShip ship;
-    ship.obj = req.obj;
-    ship.immediate = r ? r->immediate : 0;
-    ship.deferred = r ? r->deferred : 0;
-    ship.bytes = directory_.object_bytes(req.obj);
-    // Conversions to rd/wr need a current local copy; cm conversions get
-    // theirs at the accessor RPC, after the token serializes them.
-    const std::uint8_t got =
-        req.add_immediate & (r ? r->immediate : std::uint8_t{0});
-    if (got & access::kWrite) {
-      const bool current = shipped_current(req.obj, w);
-      coherence_->first_write_invalidate(w, req.obj, rec.dirtied);
-      set_shipped(req.obj, w);
-      if (!current) {
-        const auto view = directory_.data_view(req.obj);
-        ship.has_payload = true;
-        ship.payload.assign(view.begin(), view.end());
-        payload_bytes_shipped_ += ship.payload.size();
-      }
-    } else if (got & access::kRead) {
-      if (!shipped_current(req.obj, w)) {
-        const auto view = directory_.data_view(req.obj);
-        ship.has_payload = true;
-        ship.payload.assign(view.begin(), view.end());
-        payload_bytes_shipped_ += ship.payload.size();
-        set_shipped(req.obj, w);
-      }
-    }
-    ack.objects.push_back(std::move(ship));
-  }
+  for (const AccessRequest& req : rpc.requests)
+    ack.objects.push_back(
+        make_ship_locked(task, req.obj, w, rec, req.add_immediate));
   slot.channel->queue(FrameType::kWithContAck, pack(ack));
 }
 
@@ -647,24 +630,16 @@ void ClusterEngine::handle_acquire_locked(int s, const AcquireMsg& msg) {
                         std::to_string(slot.machine));
   ++rpc_acquires_;
 
-  auto nak = [&](ErrorCode code, const std::string& what) {
-    AcquireAckMsg ack;
-    ack.task = task->id();
-    ack.obj = msg.obj;
-    ack.ok = false;
-    ack.error_code = code;
-    ack.error = what;
-    slot.channel->queue(FrameType::kAcquireAck, pack(ack));
-  };
   if (aborting_) {
-    nak(ErrorCode::kUnrecoverable, "run aborted");
+    nak_acquire(*slot.channel, task, msg.obj, ErrorCode::kUnrecoverable,
+                "run aborted");
     return;
   }
   bool must_block = false;
   try {
     must_block = serializer_.acquire(task, msg.obj, msg.mode);
   } catch (const std::exception& e) {
-    nak(classify_error(e), e.what());
+    nak_acquire(*slot.channel, task, msg.obj, classify_error(e), e.what());
     return;
   }
   PendingRpc rpc;
@@ -706,23 +681,8 @@ void ClusterEngine::grant_acquire_locked(TaskNode* task,
   AcquireAckMsg ack;
   ack.task = task->id();
   ack.obj = rpc.obj;
-  if (writes) {
-    const bool current = shipped_current(rpc.obj, w);
-    coherence_->first_write_invalidate(w, rpc.obj, rec.dirtied);
-    set_shipped(rpc.obj, w);
-    if (!current) {
-      const auto view = directory_.data_view(rpc.obj);
-      ack.has_payload = true;
-      ack.payload.assign(view.begin(), view.end());
-      payload_bytes_shipped_ += ack.payload.size();
-    }
-  } else if (!shipped_current(rpc.obj, w)) {
-    const auto view = directory_.data_view(rpc.obj);
-    ack.has_payload = true;
-    ack.payload.assign(view.begin(), view.end());
-    payload_bytes_shipped_ += ack.payload.size();
-    set_shipped(rpc.obj, w);
-  }
+  ack.has_payload =
+      attach_payload_locked(rpc.obj, w, writes, rec, ack.payload);
   slot.channel->queue(FrameType::kAcquireAck, pack(ack));
 }
 
@@ -798,16 +758,20 @@ void ClusterEngine::drain_unblocked_locked() {
 }
 
 void ClusterEngine::release_tokens_locked(TaskNode* task) {
-  // held() returns a reference into the table; copy before releasing.
-  const std::vector<ObjectId> held = tokens_.held(task);
-  for (ObjectId obj : held) {
-    TaskNode* next = nullptr;
-    if (tokens_.release(obj, task, &next) && next != nullptr)
-      grant_token_locked(next, obj);
-  }
+  tokens_.release_all(task, [this](TaskNode* next, ObjectId) {
+    grant_token_locked(next);
+  });
 }
 
-void ClusterEngine::grant_token_locked(TaskNode* next, ObjectId obj) {
+void ClusterEngine::release_retired_tokens_locked(
+    TaskNode* task, const std::vector<AccessRequest>& requests) {
+  tokens_.release_retired(task, requests,
+                          [this](TaskNode* next, ObjectId) {
+                            grant_token_locked(next);
+                          });
+}
+
+void ClusterEngine::grant_token_locked(TaskNode* next) {
   if (next == serializer_.root()) {
     root_token_ready_ = true;
     root_cv_.notify_all();
@@ -911,7 +875,8 @@ void ClusterEngine::dispatch_locked(TaskNode* task, int s) {
   msg.name = task->name();
   msg.args = rec.args;  // copied: a crash re-dispatch sends them again
   for (const DeclRecord* r : task->ordered_records())
-    msg.objects.push_back(make_ship_locked(task, r->obj, w, rec));
+    msg.objects.push_back(
+        make_ship_locked(task, r->obj, w, rec, r->immediate));
   slot.channel->queue(FrameType::kDispatch, pack(msg));
 
   slot.running = task;
@@ -923,43 +888,40 @@ void ClusterEngine::dispatch_locked(TaskNode* task, int s) {
                           task->id(), w, task->name());
 }
 
+// --- data movement ----------------------------------------------------------
+
 ObjectShip ClusterEngine::make_ship_locked(TaskNode* task, ObjectId obj,
-                                           MachineId w, TaskRec& rec) {
-  DeclRecord* r = task->find_record(obj);
-  JADE_ASSERT(r != nullptr);
+                                           MachineId w, TaskRec& rec,
+                                           std::uint8_t granted) {
+  const DeclRecord* r = task->find_record(obj);
   ObjectShip ship;
   ship.obj = obj;
-  ship.immediate = r->immediate;
-  ship.deferred = r->deferred;
+  ship.immediate = r != nullptr ? r->immediate : 0;
+  ship.deferred = r != nullptr ? r->deferred : 0;
   ship.bytes = directory_.object_bytes(obj);
-  const std::uint8_t imm = r->immediate;
   // Commute-only rights ship their payload at the accessor RPC, after the
   // token orders this task among the commuters; deferred-only rights ship
-  // at conversion.  Everything else ships now, iff the worker's copy is
+  // at conversion.  Granted rd/wr rights ship now, iff the worker's copy is
   // stale under the shipped-version protocol.
-  if (imm & access::kWrite) {
-    const bool current = shipped_current(obj, w);
-    coherence_->first_write_invalidate(w, obj, rec.dirtied);
-    set_shipped(obj, w);
-    if (!current) {
-      const auto view = directory_.data_view(obj);
-      ship.has_payload = true;
-      ship.payload.assign(view.begin(), view.end());
-      payload_bytes_shipped_ += ship.payload.size();
-    }
-  } else if (imm & access::kRead) {
-    if (!shipped_current(obj, w)) {
-      const auto view = directory_.data_view(obj);
-      ship.has_payload = true;
-      ship.payload.assign(view.begin(), view.end());
-      payload_bytes_shipped_ += ship.payload.size();
-      set_shipped(obj, w);
-    }
-  }
+  const std::uint8_t ships = granted & ship.immediate;
+  if (ships & (access::kRead | access::kWrite))
+    ship.has_payload = attach_payload_locked(
+        obj, w, (ships & access::kWrite) != 0, rec, ship.payload);
   return ship;
 }
 
-// --- data movement ----------------------------------------------------------
+bool ClusterEngine::attach_payload_locked(ObjectId obj, MachineId w,
+                                          bool writes, TaskRec& rec,
+                                          std::vector<std::byte>& payload) {
+  const bool current = shipped_current(obj, w);
+  if (writes) coherence_->first_write_invalidate(w, obj, rec.dirtied);
+  set_shipped(obj, w);
+  if (current) return false;
+  const auto view = directory_.data_view(obj);
+  payload.assign(view.begin(), view.end());
+  payload_bytes_shipped_ += payload.size();
+  return true;
+}
 
 bool ClusterEngine::shipped_current(ObjectId obj, MachineId m) const {
   const auto it = shipped_.find({obj, m});
@@ -1023,31 +985,15 @@ void ClusterEngine::spawn_registered(TaskNode* parent,
   std::unique_lock<std::mutex> lock(mu_);
   JADE_ASSERT_MSG(parent == serializer_.root(),
                   "coordinator-side spawn from a non-root task");
-  if (body < 0 || body >= BodyRegistry::instance().size())
-    throw ConfigError("spawn names unregistered body index " +
-                      std::to_string(body));
-  if (placement >= options_.workers)
-    throw ConfigError("task placement " + std::to_string(placement) +
-                      " exceeds the cluster's " +
-                      std::to_string(options_.workers) + " workers");
-  if (throttle_.enabled() &&
-      throttle_.should_throttle(serializer_.backlog())) {
+  if (throttle_.should_throttle(serializer_.backlog())) {
     throttle_.note_suspension();
     root_cv_.wait(lock, [&] {
       return throttle_.backlog_drained(serializer_.backlog()) || aborting_;
     });
   }
-  if (aborting_) {
-    if (first_error_) std::rethrow_exception(first_error_);
-    throw UnrecoverableError("run aborted");
-  }
-  TaskNode* child = serializer_.create_task(parent, requests, {},
-                                            std::move(name));
-  child->placement = placement;
-  TaskRec rec;
-  rec.body = body;
-  rec.args = std::move(args);
-  recs_[child] = std::move(rec);
+  rethrow_if_aborting_locked();
+  create_registered_locked(parent, requests, body, std::move(args),
+                           std::move(name), placement);
   drain_unblocked_locked();
   pump_locked();
   wake_event_loop();
@@ -1056,13 +1002,7 @@ void ClusterEngine::spawn_registered(TaskNode* parent,
 void ClusterEngine::with_cont(TaskNode* task,
                               const std::vector<AccessRequest>& requests) {
   std::unique_lock<std::mutex> lock(mu_);
-  for (const AccessRequest& r : requests) {
-    if (r.remove & access::kCommute) {
-      TaskNode* next = nullptr;
-      if (tokens_.release(r.obj, task, &next) && next != nullptr)
-        grant_token_locked(next, r.obj);
-    }
-  }
+  release_retired_tokens_locked(task, requests);
   const bool must_block = serializer_.update_spec(task, requests);
   drain_unblocked_locked();
   pump_locked();
@@ -1070,10 +1010,7 @@ void ClusterEngine::with_cont(TaskNode* task,
   if (must_block) {
     root_cv_.wait(lock, [&] { return root_unblocked_ || aborting_; });
     root_unblocked_ = false;
-    if (aborting_) {
-      if (first_error_) std::rethrow_exception(first_error_);
-      throw UnrecoverableError("run aborted");
-    }
+    rethrow_if_aborting_locked();
   }
 }
 
@@ -1082,10 +1019,7 @@ std::byte* ClusterEngine::acquire_bytes(TaskNode* task, ObjectId obj,
   std::unique_lock<std::mutex> lock(mu_);
   JADE_ASSERT_MSG(task == serializer_.root(),
                   "coordinator-side accessor from a non-root task");
-  if (aborting_) {
-    if (first_error_) std::rethrow_exception(first_error_);
-    throw UnrecoverableError("run aborted");
-  }
+  rethrow_if_aborting_locked();
   // The root never blocks here: the serializer either admits the access
   // (no conflicting task records) or throws.
   const bool must_block = serializer_.acquire(task, obj, mode);
@@ -1098,6 +1032,12 @@ std::byte* ClusterEngine::acquire_bytes(TaskNode* task, ObjectId obj,
   }
   if (mode & (access::kWrite | access::kCommute)) root_write_locked(obj);
   return directory_.data(obj);
+}
+
+void ClusterEngine::rethrow_if_aborting_locked() const {
+  if (!aborting_) return;
+  if (first_error_) std::rethrow_exception(first_error_);
+  throw UnrecoverableError("run aborted");
 }
 
 void ClusterEngine::charge(TaskNode* task, double units) {
@@ -1235,22 +1175,10 @@ void ClusterEngine::abort_run_locked(std::exception_ptr error) {
     const int s = slot_of_machine(rpc.worker);
     if (s < 0) continue;
     Channel& ch = *slots_[static_cast<std::size_t>(s)].channel;
-    if (rpc.kind == PendingRpc::Kind::kAcquire) {
-      AcquireAckMsg nak;
-      nak.task = task->id();
-      nak.obj = rpc.obj;
-      nak.ok = false;
-      nak.error_code = ErrorCode::kUnrecoverable;
-      nak.error = "run aborted";
-      ch.queue(FrameType::kAcquireAck, pack(nak));
-    } else {
-      WithContAckMsg nak;
-      nak.task = task->id();
-      nak.ok = false;
-      nak.error_code = ErrorCode::kUnrecoverable;
-      nak.error = "run aborted";
-      ch.queue(FrameType::kWithContAck, pack(nak));
-    }
+    if (rpc.kind == PendingRpc::Kind::kAcquire)
+      nak_acquire(ch, task, rpc.obj, ErrorCode::kUnrecoverable, "run aborted");
+    else
+      nak_with_cont(ch, task, ErrorCode::kUnrecoverable, "run aborted");
     tokens_.remove_waiter(task);
   }
   pending_.clear();

@@ -157,6 +157,13 @@ class ClusterEngine : public Engine,
 
   // --- frame handlers (mu_ held) -------------------------------------------
   void handle_spawn_locked(int slot, const SpawnMsg& msg);
+  /// The one spawn routine behind both spawn paths: validates the body
+  /// index and placement (ConfigError), creates the child, and records its
+  /// registered body.  Serializer errors propagate too.
+  TaskNode* create_registered_locked(TaskNode* parent,
+                                     const std::vector<AccessRequest>& requests,
+                                     int body, std::vector<std::byte> args,
+                                     std::string name, MachineId placement);
   void handle_with_cont_locked(int slot, const WithContMsg& msg);
   void handle_acquire_locked(int slot, const AcquireMsg& msg);
   void handle_done_locked(int slot, const DoneMsg& msg);
@@ -167,8 +174,12 @@ class ClusterEngine : public Engine,
   void dispatch_locked(TaskNode* task, int slot);
   void finish_task_locked(TaskNode* task);
   void drain_unblocked_locked();
+  /// Returns every commute token `task` holds / the tokens a with-cont's
+  /// no_cm requests retire, granting each to its next queued waiter.
   void release_tokens_locked(TaskNode* task);
-  void grant_token_locked(TaskNode* next, ObjectId obj);
+  void release_retired_tokens_locked(
+      TaskNode* task, const std::vector<AccessRequest>& requests);
+  void grant_token_locked(TaskNode* next);
 
   // --- RPC continuation (mu_ held) -----------------------------------------
   void continue_acquire_locked(TaskNode* task, PendingRpc& rpc);
@@ -184,13 +195,22 @@ class ClusterEngine : public Engine,
                               MachineId from);
   /// Root-side write acquisition: invalidate replicas, notify, dirty.
   void root_write_locked(ObjectId obj);
-  /// Attaches rights + (if stale on `w`) payload for one object.
+  /// Attaches `task`'s rights on `obj` plus, for `granted` rd/wr rights,
+  /// the payload when stale on `w`.
   ObjectShip make_ship_locked(TaskNode* task, ObjectId obj, MachineId w,
-                              TaskRec& rec);
+                              TaskRec& rec, std::uint8_t granted);
+  /// Books a read or write grant of `obj` to `w` in the shipped-version map
+  /// (a write also invalidates other copies) and fills `payload` iff `w`'s
+  /// copy is stale; true when it did.
+  bool attach_payload_locked(ObjectId obj, MachineId w, bool writes,
+                             TaskRec& rec, std::vector<std::byte>& payload);
 
   // --- failure handling (mu_ held) -----------------------------------------
   void handle_worker_death_locked(int slot);
   void abort_run_locked(std::exception_ptr error);
+  /// Root-side edge of a failing run: rethrows the first error (or an
+  /// UnrecoverableError) once the run is aborting.
+  void rethrow_if_aborting_locked() const;
 
   int slot_of_machine(MachineId m) const;
   std::vector<std::uint8_t> machine_up_mask() const;

@@ -59,7 +59,8 @@ struct RuntimeConfig {
   /// boundary.
   cluster::Options cluster_proc;
 
-  /// Scheduling policy (SimEngine; ThreadEngine uses throttle only).
+  /// Scheduling policy (SimEngine; ThreadEngine uses throttle and spec;
+  /// ClusterEngine uses throttle, comm and locality).
   SchedPolicy sched;
 
   /// Policy/placement decision seam (docs/MODEL.md).  Before the engine is

@@ -1,6 +1,8 @@
 // Engine is an interface; shared helpers live here.
 #include "jade/engine/engine.hpp"
 
+#include "jade/sched/governor.hpp"
+
 namespace jade {
 
 void Engine::enable_tracing(const ObsConfig& config) {
@@ -12,6 +14,14 @@ void Engine::enable_tracing(const ObsConfig& config) {
   recorder_ = std::make_unique<obs::TraceRecorder>(config.trace_capacity);
   tracer_.attach(recorder_.get(), [this] { return trace_now(); });
   tracer_.set_wall_clock(config.wall_clock);
+}
+
+TenantCtl* Engine::spawn_prologue(const TaskNode* parent) {
+  if (parent->speculating()) throw SpeculationUnwind{};
+  TenantCtl* ctl = parent->tenant();
+  if (ctl != nullptr && ctl->cancelled.load(std::memory_order_relaxed))
+    throw TenantUnwind{};
+  return ctl;
 }
 
 void Engine::publish_runtime_stats() {

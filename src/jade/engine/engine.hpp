@@ -24,6 +24,7 @@
 #include "jade/core/queues.hpp"
 #include "jade/core/stats.hpp"
 #include "jade/core/task.hpp"
+#include "jade/core/tenant.hpp"
 #include "jade/obs/metrics.hpp"
 #include "jade/obs/tracer.hpp"
 #include "jade/support/time.hpp"
@@ -46,13 +47,6 @@ struct ObsConfig {
 // RuntimeStats moved to jade/core/stats.hpp so the runtime services below
 // the engines (store/coherence, ft/recovery_coordinator) can report into it
 // without depending on this header.
-
-/// Thrown inside a speculatively executing body (SchedPolicy::spec) when it
-/// reaches an operation the snapshot-isolated path cannot perform — spawn,
-/// with-cont, a commuting acquisition, an undeclared access.  The engine
-/// catches it, aborts the speculation, and the task later runs normally,
-/// where a genuine error reproduces deterministically.
-struct SpeculationUnwind {};
 
 class Engine {
  public:
@@ -147,6 +141,43 @@ class Engine {
   /// dotted names (docs/OBSERVABILITY.md), giving benches and tests one
   /// uniform registry view.  Engines call this at the end of run().
   void publish_runtime_stats();
+
+  /// The creator-side checks that open spawn(): a speculative body cannot
+  /// create tasks — creation escapes its snapshot-isolated attempt, so it
+  /// aborts (SpeculationUnwind) and the normal re-run spawns for real — and
+  /// a cancelled tenant's creator unwinds (TenantUnwind) instead of
+  /// flooding more work into the backlog.  Returns the creator's tenant.
+  static TenantCtl* spawn_prologue(const TaskNode* parent);
+
+  /// Runs `task`'s body.  A host task's exceptions propagate.  A tenant
+  /// task is contained: a cancelled tenant's body is skipped, a
+  /// TenantUnwind counts as a cancellation, and any other failure is
+  /// recorded on the tenant and cancels it — the engine keeps serving
+  /// everyone else.  `keep_unwinding()`, asked inside the handler, names
+  /// the engine's own unwinds that must pass through containment.  Either
+  /// way the engine completes the task normally, so successors unblock.
+  template <class KeepUnwinding>
+  static void run_body(TaskNode* task, TaskContext& ctx,
+                       KeepUnwinding&& keep_unwinding) {
+    TenantCtl* ctl = task->tenant();
+    if (ctl == nullptr) {
+      task->body(ctx);
+      return;
+    }
+    if (ctl->cancelled.load(std::memory_order_relaxed)) {
+      ctl->tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    try {
+      task->body(ctx);
+    } catch (const TenantUnwind&) {
+      ctl->tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
+    } catch (...) {
+      if (keep_unwinding()) throw;
+      ctl->record_failure(std::current_exception());
+      ctl->cancelled.store(true, std::memory_order_relaxed);
+    }
+  }
 
   RuntimeStats stats_;
   obs::Tracer tracer_;

@@ -64,7 +64,7 @@ void SimEngine::on_task_ready(TaskNode* task) {
     // The serializer just enabled a task that is running speculatively:
     // this is its commit point, not a dispatch.  Queued rather than decided
     // inline — listener callbacks must not re-enter the serializer.
-    spec_decide_.push_back(task);
+    spec_gov_.defer_decision(task);
     return;
   }
   ready_.push_back(task);
@@ -77,11 +77,7 @@ void SimEngine::on_task_unblocked(TaskNode* task) {
 void SimEngine::post_serializer() {
   // Commit checks first, in serial enable order: a commit retires the
   // task's records, which can enable (and commit) further speculations.
-  while (!spec_decide_.empty()) {
-    TaskNode* task = spec_decide_.front();
-    spec_decide_.pop_front();
-    decide_speculation(task);
-  }
+  while (TaskNode* task = spec_gov_.next_decision()) decide_speculation(task);
   try_dispatch();
   while (!to_unblock_.empty()) {
     std::vector<TaskNode*> batch;
@@ -109,13 +105,8 @@ void SimEngine::try_dispatch() {
   bool progress = true;
   while (progress && !ready_.empty()) {
     progress = false;
-    std::vector<int> free(machines_.size());
-    int total_free = 0;
-    for (std::size_t m = 0; m < machines_.size(); ++m) {
-      free[m] = machines_[m].free_contexts;
-      total_free += free[m];
-    }
-    if (total_free == 0) break;  // nothing can be placed; skip the scan
+    std::vector<int> free;
+    if (!free_contexts(free)) break;  // nothing can be placed; skip the scan
     // Bounded scheduler window: only the oldest kWindow ready tasks are
     // considered, keeping dispatch cost independent of backlog size (the
     // backlog can be huge when a creator floods tasks, Figure 7(e)).
@@ -163,6 +154,14 @@ void SimEngine::try_dispatch() {
   // Speculation rides on leftovers: only after every ready task that could
   // be placed has been placed do idle contexts take speculative work.
   try_spec_dispatch();
+}
+
+bool SimEngine::free_contexts(std::vector<int>& free) const {
+  free.resize(machines_.size());
+  int total = 0;
+  for (std::size_t m = 0; m < machines_.size(); ++m)
+    total += free[m] = machines_[m].free_contexts;
+  return total > 0;
 }
 
 void SimEngine::assign(TaskNode* task, MachineId m) {
@@ -219,31 +218,12 @@ void SimEngine::task_process(TaskNode* task) {
                   t.machine);
 
   TaskContext ctx(this, task);
-  TenantCtl* ctl = task->tenant();
-  if (ctl != nullptr && ctl->cancelled.load(std::memory_order_relaxed)) {
-    // Forced teardown: skip the body, complete normally so the serializer
-    // unwinds and successors of this task unblock.
-    ctl->tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
-  } else if (ctl != nullptr) {
-    try {
-      task->body(ctx);
-    } catch (const TenantUnwind&) {
-      ctl->tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
-    } catch (...) {
-      // A sim process unwound by Simulation::abort (ft kill / teardown)
-      // must keep unwinding — only genuine body failures are contained.
-      if (sim_.tearing_down() ||
-          (sim_.current() != nullptr && sim_.current()->abandoned())) {
-        throw;
-      }
-      // Per-tenant failure containment: record, cancel, keep simulating.
-      ctl->record_failure(std::current_exception());
-      ctl->cancelled.store(true, std::memory_order_relaxed);
-    }
-  } else {
-    task->body(ctx);
-  }
-
+  // A sim process unwound by Simulation::abort (ft kill / teardown) must
+  // keep unwinding — only genuine body failures are contained.
+  run_body(task, ctx, [this] {
+    return sim_.tearing_down() ||
+           (sim_.current() != nullptr && sim_.current()->abandoned());
+  });
   finish_task(task);
 }
 
@@ -272,12 +252,9 @@ void SimEngine::finish_task(TaskNode* task) {
   serializer_.complete_task(task);
   post_serializer();
   // Hand every held commute token on, in acquisition order.
-  const std::vector<ObjectId> held = commute_.held(task);
-  for (ObjectId obj : held) {
-    TaskNode* next = nullptr;
-    commute_.release(obj, task, &next);
-    if (next != nullptr) sim_.resume(st(next).process);
-  }
+  commute_.release_all(task, [this](TaskNode* next, ObjectId) {
+    sim_.resume(st(next).process);
+  });
   release_context(t);
   maybe_release_throttled();
 }
@@ -378,12 +355,7 @@ void SimEngine::maybe_release_throttled() {
   // window stays parked until that window drains (or the tenant is
   // cancelled / unlimited — it then parked on the global gate alone).
   for (auto it = throttled_.begin(); it != throttled_.end();) {
-    TenantCtl* ctl = (*it)->tenant();
-    const bool tenant_clear =
-        ctl == nullptr || ctl->cancelled.load(std::memory_order_relaxed) ||
-        ctl->quota_hi.load(std::memory_order_relaxed) == 0 ||
-        throttle_.tenant_drained(*ctl);
-    if (!tenant_clear) {
+    if (!throttle_.tenant_clear((*it)->tenant())) {
       ++it;
       continue;
     }
@@ -399,18 +371,10 @@ void SimEngine::spawn(TaskNode* parent,
                       const std::vector<AccessRequest>& requests,
                       TaskContext::BodyFn body, std::string name,
                       MachineId placement, TenantCtl* tenant) {
-  // A speculative body must not create tasks: creation escapes the
-  // snapshot-isolated attempt.  Abort the speculation; the normal re-run
-  // spawns for real.
-  if (parent->speculating()) throw SpeculationUnwind{};
+  // A tenant unwind is caught in task_process, which completes the task
+  // normally.
+  TenantCtl* pctl = spawn_prologue(parent);
   SimTask& pt = st(parent);
-  // A cancelled tenant's creators unwind at the next spawn instead of
-  // flooding more work into the backlog; the unwind is caught in
-  // task_process, which completes the task normally.
-  TenantCtl* pctl = parent->tenant();
-  if (pctl != nullptr && pctl->cancelled.load(std::memory_order_relaxed)) {
-    throw TenantUnwind{};
-  }
   // Spawning makes the parent unkillable *before* it can park below: a
   // replay of a task that already created a child would create it twice.
   pt.attempt.restartable = false;
@@ -431,18 +395,14 @@ void SimEngine::spawn(TaskNode* parent,
     if (req.add_immediate | req.add_deferred) t.objects.push_back(req.obj);
   task->engine_data = &t;
   ++stats_.tasks_created;
-  if (spec_gov_.enabled() && task->state() == TaskState::kPending &&
-      task->tenant() == nullptr && task->placement < 0) {
-    spec_candidates_.push_back(task);
-  }
+  spec_gov_.offer(task);
   if (tracer_.enabled())
     tracer_.instant(obs::Subsystem::kEngine, "task.created", task->id(),
                     pt.machine, 0, task->name());
   post_serializer();
 
-  const bool global_gate = throttle_.should_throttle(serializer_.backlog());
-  const bool tenant_gate = pctl != nullptr && throttle_.tenant_gated(*pctl);
-  if ((global_gate || tenant_gate) && active_tasks_ > 1) {
+  if (throttle_.gates(serializer_.backlog(), pctl).any() &&
+      active_tasks_ > 1) {
     // Excess concurrency: suspend the creating task (Figure 7(e)) until the
     // unstarted backlog drains — globally or, for a quota-bearing tenant,
     // until its own live-task window drains.  Skipped when this creator is
@@ -478,12 +438,9 @@ void SimEngine::with_cont(TaskNode* task,
   post_serializer();
   // no_cm hands the exclusivity token to the next waiting commuter now
   // rather than at completion.
-  for (const AccessRequest& req : requests) {
-    if (!(req.remove & access::kCommute)) continue;
-    TaskNode* next = nullptr;
-    if (!commute_.release(req.obj, task, &next)) continue;
-    if (next != nullptr) sim_.resume(st(next).process);
-  }
+  commute_.release_retired(task, requests, [this](TaskNode* next, ObjectId) {
+    sim_.resume(st(next).process);
+  });
   if (must_block) {
     // Release the machine slot while waiting: the tasks we wait on may need
     // it (they precede us in the serial order).
@@ -520,7 +477,8 @@ void SimEngine::park_until_fetched(SimTask& t, SimTime ready_at) {
 
 std::byte* SimEngine::acquire_bytes(TaskNode* task, ObjectId obj,
                                     std::uint8_t mode) {
-  if (task->speculating()) return spec_acquire_bytes(task, obj, mode);
+  if (task->speculating())
+    return SpeculationGovernor::shadow_bytes(st(task).spec, obj, mode);
   SimTask& t = st(task);
   const bool must_block = serializer_.acquire(task, obj, mode);
   if (must_block) {
@@ -672,11 +630,9 @@ void SimEngine::run(std::function<void(TaskContext&)> root_body) {
     ready_.clear();
     to_unblock_.clear();
     throttled_.clear();
-    spec_candidates_.clear();
-    spec_decide_.clear();
     commute_ = CommuteTokenTable{};
     throttle_.reset_counters();
-    spec_gov_.reset_counters();
+    spec_gov_.reset();
     timeline_.clear();
     stats_ = RuntimeStats{};
     stats_.machine_busy_seconds.assign(machines_.size(), 0.0);
@@ -738,14 +694,8 @@ void SimEngine::run(std::function<void(TaskContext&)> root_body) {
   }
   for (std::size_t m = 0; m < machines_.size(); ++m)
     stats_.machine_busy_seconds[m] = machines_[m].busy_seconds;
-  stats_.throttle_suspensions = throttle_.suspensions();
-  stats_.throttle_giveups = throttle_.giveups();
-  stats_.spec_started = spec_gov_.started();
-  stats_.spec_committed = spec_gov_.committed();
-  stats_.spec_aborted = spec_gov_.aborted();
-  stats_.spec_denied = spec_gov_.denied();
-  stats_.spec_wasted_bytes = spec_gov_.wasted_bytes();
-  stats_.spec_wasted_work = spec_gov_.wasted_work();
+  throttle_.publish(stats_);
+  spec_gov_.publish(stats_);
   publish_runtime_stats();
 }
 
@@ -755,108 +705,46 @@ void SimEngine::try_spec_dispatch() {
   if (!spec_gov_.enabled()) return;
   const bool locality = sched_.locality && !cluster_.shared_memory();
   std::vector<ObjectId> contested;
-  while (spec_gov_.can_start() && !spec_candidates_.empty()) {
-    std::vector<int> free(machines_.size());
-    int total_free = 0;
-    for (std::size_t m = 0; m < machines_.size(); ++m) {
-      free[m] = machines_[m].free_contexts;
-      total_free += free[m];
-    }
-    if (total_free == 0) return;
-    bool started = false;
-    std::size_t i = 0;
-    std::size_t examined = 0;
-    while (i < spec_candidates_.size() && examined < sched_.spec.window) {
-      TaskNode* task = spec_candidates_[i];
-      if (task->state() != TaskState::kPending || task->speculating()) {
-        spec_candidates_.erase(spec_candidates_.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
-      ++examined;
-      if (!serializer_.spec_eligible(task, &contested)) {
-        ++i;  // may become eligible once a predecessor weakens
-        continue;
-      }
-      bool throttled = false;
-      for (ObjectId obj : contested) {
-        if (spec_gov_.object_throttled(obj)) {
-          throttled = true;
-          break;
-        }
-      }
-      if (throttled) {
-        // This object keeps conflicting; stop betting on it.  The task is
-        // dropped from the candidate list for good — it runs normally.
-        spec_gov_.note_denied();
-        spec_candidates_.erase(spec_candidates_.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
-      if (ft_enabled()) {
-        // Never speculate across a crashed owner or a lost object: the
-        // normal path's recovery parking / unrecoverable error must not be
-        // bypassed by a snapshot of possibly-doomed bytes.
-        bool risky = false;
-        for (ObjectId obj : st(task).objects) {
-          if (directory_.lost(obj) ||
-              !ft_->injector().machine_up(directory_.owner(obj))) {
-            risky = true;
-            break;
-          }
-        }
-        if (risky) {
-          ++i;
-          continue;
-        }
-      }
-      const MachineId m = planner_->place_task(
-          directory_,
-          {st(task).objects, free, locality, st(task).creator_machine});
-      if (m < 0) {
-        ++i;
-        continue;
-      }
-      spec_candidates_.erase(spec_candidates_.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-      start_speculation(task, m, contested);
-      started = true;
-      break;
-    }
-    if (!started) return;
+  while (spec_gov_.can_start() && spec_gov_.has_candidates()) {
+    std::vector<int> free;
+    if (!free_contexts(free)) return;
+    MachineId m = -1;
+    TaskNode* task =
+        spec_gov_.pick(serializer_, &contested, [&](TaskNode* cand) {
+          const SimTask& t = st(cand);
+          if (ft_enabled() && fault_risk(t)) return false;
+          m = planner_->place_task(
+              directory_, {t.objects, free, locality, t.creator_machine});
+          return m >= 0;
+        });
+    if (task == nullptr) return;
+    start_speculation(task, m, std::move(contested));
   }
+}
+
+bool SimEngine::fault_risk(const SimTask& t) const {
+  for (ObjectId obj : t.objects)
+    if (directory_.lost(obj) ||
+        !ft_->injector().machine_up(directory_.owner(obj)))
+      return true;
+  return false;
 }
 
 void SimEngine::start_speculation(TaskNode* task, MachineId m,
                                   std::vector<ObjectId> contested) {
-  serializer_.spec_start(task);
-  spec_gov_.note_start();
+  SimTask& t = st(task);
+  // Single-threaded simulation makes the bytes+epoch capture atomic.
+  spec_gov_.start(t.spec, task, serializer_, std::move(contested),
+                  [this](ObjectId obj) {
+                    auto view = directory_.data_view(obj);
+                    return std::vector<std::byte>(view.begin(), view.end());
+                  });
   Machine& mach = machines_[static_cast<std::size_t>(m)];
   JADE_ASSERT(mach.free_contexts > 0);
   --mach.free_contexts;
-  SimTask& t = st(task);
   t.machine = m;
   t.dispatched = sim_.now();
   task->assigned_machine = m;
-  t.spec.active = true;
-  t.spec.body_done = false;
-  t.spec.failed = false;
-  t.spec.shadows.clear();
-  t.spec.dirty.clear();
-  t.spec.epochs.clear();
-  t.spec.contested = std::move(contested);
-  t.spec.charge_base = task->charged_work;
-  // Snapshot-isolated staging copies of every declared immediate object,
-  // with the serializer's write epoch at capture time.  Pure-commute rights
-  // are excluded: exercising one aborts the attempt.  Single-threaded
-  // simulation makes the bytes+epoch capture atomic by construction.
-  for (const DeclRecord* rec : task->ordered_records()) {
-    if (rec->immediate == 0 || rec->immediate == access::kCommute) continue;
-    auto view = directory_.data_view(rec->obj);
-    t.spec.epochs.emplace_back(rec->obj, serializer_.write_epoch(rec->obj));
-    t.spec.shadows.emplace_back(
-        rec->obj, std::vector<std::byte>(view.begin(), view.end()));
-  }
   JADE_TRACE("t=" << sim_.now() << " speculate " << task->name()
                   << " -> machine " << m);
   tracer_.instant(obs::Subsystem::kEngine, "spec.dispatch", task->id(), m,
@@ -872,15 +760,14 @@ void SimEngine::spec_process(TaskNode* task) {
   TaskContext ctx(this, task);
   try {
     task->body(ctx);
-  } catch (const SpeculationUnwind&) {
-    t.spec.failed = true;
   } catch (...) {
     if (sim_.tearing_down() ||
         (sim_.current() != nullptr && sim_.current()->abandoned())) {
       throw;
     }
-    // A speculative body's failure may be an artifact of snapshot staleness;
-    // abort silently — a genuine error reproduces on the normal re-run.
+    // SpeculationUnwind, or a failure that may be an artifact of snapshot
+    // staleness: abort silently — a genuine error reproduces on the normal
+    // re-run.
     t.spec.failed = true;
   }
   t.spec.body_done = true;
@@ -895,58 +782,28 @@ void SimEngine::spec_process(TaskNode* task) {
 
 void SimEngine::decide_speculation(TaskNode* task) {
   SimTask& t = st(task);
-  JADE_ASSERT(t.spec.active);
   if (!t.spec.body_done) return;  // spec_process re-decides at body end
-  JADE_ASSERT(task->state() == TaskState::kReady);
-  bool ok = !t.spec.failed;
-  bool conflict = false;
-  if (ok && ft_enabled()) {
-    for (ObjectId obj : t.objects) {
-      if (directory_.lost(obj) ||
-          !ft_->injector().machine_up(directory_.owner(obj))) {
-        ok = false;
-        break;
-      }
-    }
-  }
-  if (ok) {
-    // The serializer is the commit check: the task is enabled in serial
-    // order, and unchanged write epochs prove no conflicting write
-    // materialized since the snapshot.
-    for (const auto& [obj, epoch] : t.spec.epochs) {
-      if (serializer_.write_epoch(obj) != epoch) {
-        ok = false;
-        conflict = true;
-        break;
-      }
-    }
-  }
-  if (ok) {
+  const SpecVerdict v = spec_gov_.verdict(
+      t.spec, serializer_, !t.spec.failed && ft_enabled() && fault_risk(t));
+  if (v == SpecVerdict::kCommit) {
     commit_speculation(task);
   } else {
-    abort_speculation(task, /*charge_history=*/conflict);
+    abort_speculation(task, /*charge_history=*/v == SpecVerdict::kConflict);
   }
 }
 
 void SimEngine::commit_speculation(TaskNode* task) {
   SimTask& t = st(task);
-  serializer_.spec_commit(task);  // kReady -> kRunning, in serial order
-  spec_gov_.note_commit();
-  t.spec.active = false;
-  // The buffered writes become the canonical bytes *before* complete_task
-  // can enable any successor — exactly where a normal run's writes would
-  // already be.  Stale replicas drop and the data version advances the
-  // same way a normal first write's invalidation does.
-  for (ObjectId obj : t.spec.dirty) {
-    for (auto& [sobj, bytes] : t.spec.shadows) {
-      if (sobj != obj) continue;
-      std::copy(bytes.begin(), bytes.end(), directory_.data(obj));
-      break;
-    }
-    serializer_.bump_write_epoch(obj);
-    if (!cluster_.shared_memory())
-      coherence_->first_write_invalidate(t.machine, obj, t.attempt.dirtied);
-  }
+  // Stale replicas drop and the data version advances the same way a normal
+  // first write's invalidation does.
+  spec_gov_.commit(t.spec, serializer_,
+                   [&](ObjectId obj, const std::vector<std::byte>& bytes) {
+                     std::copy(bytes.begin(), bytes.end(),
+                               directory_.data(obj));
+                     if (!cluster_.shared_memory())
+                       coherence_->first_write_invalidate(t.machine, obj,
+                                                          t.attempt.dirtied);
+                   });
   JADE_TRACE("t=" << sim_.now() << " spec-commit " << task->name());
   tracer_.instant(obs::Subsystem::kEngine, "spec.commit", task->id(),
                   t.machine, static_cast<double>(t.spec.dirty.size()));
@@ -966,8 +823,6 @@ void SimEngine::commit_speculation(TaskNode* task) {
                      task->charged_work);
   }
   task->body = nullptr;
-  t.spec.shadows.clear();
-  t.spec.epochs.clear();
   if (ft_enabled()) stats_.finish_time = sim_.now();
   serializer_.complete_task(task);
   t.process = nullptr;
@@ -978,24 +833,11 @@ void SimEngine::commit_speculation(TaskNode* task) {
 
 void SimEngine::abort_speculation(TaskNode* task, bool charge_history) {
   SimTask& t = st(task);
-  std::uint64_t wasted_bytes = 0;
-  for (const auto& [obj, bytes] : t.spec.shadows) wasted_bytes += bytes.size();
-  const double wasted_work = task->charged_work - t.spec.charge_base;
-  spec_gov_.note_abort(
-      charge_history ? t.spec.contested : std::vector<ObjectId>{},
-      wasted_bytes, wasted_work);
-  task->charged_work = t.spec.charge_base;
-  serializer_.spec_abort(task);
+  const double wasted_work = spec_gov_.abort(t.spec, serializer_,
+                                             charge_history);
   JADE_TRACE("t=" << sim_.now() << " spec-abort " << task->name());
   tracer_.instant(obs::Subsystem::kEngine, "spec.abort", task->id(), t.machine,
                   wasted_work);
-  t.spec.active = false;
-  t.spec.body_done = false;
-  t.spec.failed = false;
-  t.spec.shadows.clear();
-  t.spec.dirty.clear();
-  t.spec.epochs.clear();
-  t.spec.contested.clear();
   t.process = nullptr;
   t.machine = -1;
   t.wait = Wait::kNone;
@@ -1016,32 +858,6 @@ void SimEngine::abort_speculations_on(MachineId m) {
     abort_speculation(t.node, /*charge_history=*/false);
     if (p != nullptr && p->state() != Process::State::kDone) sim_.abort(p);
   }
-}
-
-std::byte* SimEngine::spec_acquire_bytes(TaskNode* task, ObjectId obj,
-                                         std::uint8_t mode) {
-  SimTask& t = st(task);
-  JADE_ASSERT(t.spec.active);
-  DeclRecord* rec = task->find_record(obj);
-  // Undeclared or commuting access: abort the speculation; the normal
-  // re-run raises the real error (or takes the commute token) at the same
-  // deterministic point.
-  if (rec == nullptr ||
-      (mode & static_cast<std::uint8_t>(~rec->immediate)) ||
-      (mode & access::kCommute)) {
-    throw SpeculationUnwind{};
-  }
-  for (auto& [sobj, bytes] : t.spec.shadows) {
-    if (sobj != obj) continue;
-    if (mode & access::kWrite) {
-      if (std::find(t.spec.dirty.begin(), t.spec.dirty.end(), obj) ==
-          t.spec.dirty.end()) {
-        t.spec.dirty.push_back(obj);
-      }
-    }
-    return bytes.data();
-  }
-  throw SpeculationUnwind{};  // no shadow (pure-commute record)
 }
 
 // --- fault tolerance (ft/recovery_coordinator.hpp does the protocol) -------
@@ -1088,13 +904,9 @@ void SimEngine::abort_attempt_execution(TaskNode* task) {
   // Hand held commute tokens to the next waiters, newest first.  (A waiter
   // that is itself being killed in this sweep gets its resume abandoned and
   // the token released again when its own kill runs.)
-  while (!commute_.held(task).empty()) {
-    const ObjectId obj = commute_.held(task).back();
-    TaskNode* next = nullptr;
-    const bool released = commute_.release(obj, task, &next);
-    JADE_ASSERT(released);
-    if (next != nullptr) sim_.resume(st(next).process);
-  }
+  commute_.release_all(
+      task, [this](TaskNode* next, ObjectId) { sim_.resume(st(next).process); },
+      /*newest_first=*/true);
   // Rewind the serializer: a started attempt is kRunning (task_started is
   // the first thing a task process does); an assigned-but-unstarted one is
   // still kReady and needs no rewind.

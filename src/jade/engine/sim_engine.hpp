@@ -29,8 +29,9 @@
 //     revalidation, invalidation fan-out, format-conversion caching;
 //   * ft/recovery_coordinator.hpp — fault plan, failure detection, attempt
 //     kill/rollback, directory surgery, re-queueing;
-//   * sched/governor.hpp   — commute-token exclusivity and creation
-//     throttling, shared with ThreadEngine.
+//   * sched/governor.hpp   — commute-token exclusivity, creation
+//     throttling and the speculation lifecycle, shared with the other
+//     engines.
 #pragma once
 
 #include <deque>
@@ -115,29 +116,6 @@ class SimEngine : public Engine, private SerializerListener {
     kRecovery,  ///< object's owner crashed; recovery re-homes, then resumes
   };
 
-  /// Per-task speculation state (SchedPolicy::spec).  Lives beside the
-  /// AttemptState rollback image: a speculation never needs pre-write
-  /// snapshots because its writes land in the shadow buffers — discarding
-  /// them IS the rollback, which is also why a speculative task stays
-  /// restartable by construction.
-  struct SpecState {
-    bool active = false;     ///< a speculative attempt is live (uncommitted)
-    bool body_done = false;  ///< the speculative body finished executing
-    bool failed = false;     ///< body hit an unsupported op or threw
-    /// Snapshot-isolated buffers, one per declared non-pure-commute
-    /// immediate object, in declaration order.
-    std::vector<std::pair<ObjectId, std::vector<std::byte>>> shadows;
-    /// Objects the body wrote (subset of shadows, first-write order).
-    std::vector<ObjectId> dirty;
-    /// Per-object serializer write epochs captured at snapshot time; the
-    /// commit check compares them against the current epochs.
-    std::vector<std::pair<ObjectId, std::uint64_t>> epochs;
-    /// Objects whose unexercised-writer predecessors the speculation bets
-    /// on — the conflict-history throttle's accounting key.
-    std::vector<ObjectId> contested;
-    double charge_base = 0;  ///< charged_work at speculative dispatch
-  };
-
   struct SimTask {
     TaskNode* node = nullptr;
     Process* process = nullptr;
@@ -148,7 +126,9 @@ class SimEngine : public Engine, private SerializerListener {
     /// Rollback state of the current attempt; the recovery coordinator
     /// restores/clears it on kill (docs/FAULT_TOLERANCE.md).
     AttemptState attempt;
-    SpecState spec;
+    /// Speculation state (SchedPolicy::spec); beside the rollback image, as
+    /// a speculation never needs pre-write snapshots.
+    SpecAttempt spec;
     // timeline capture (when sched.record_timeline)
     SimTime created = 0;
     SimTime dispatched = 0;
@@ -186,6 +166,8 @@ class SimEngine : public Engine, private SerializerListener {
   /// mutation.
   void post_serializer();
   void try_dispatch();
+  /// Free task contexts per machine into `free`; false when none is free.
+  bool free_contexts(std::vector<int>& free) const;
   void assign(TaskNode* task, MachineId m);
 
   // --- speculative execution (SchedPolicy::spec) ---------------------------
@@ -194,12 +176,17 @@ class SimEngine : public Engine, private SerializerListener {
   void try_spec_dispatch();
   void start_speculation(TaskNode* task, MachineId m,
                          std::vector<ObjectId> contested);
+  /// Under fault injection: true when one of `t`'s objects is lost or its
+  /// owner is down.  Such a task is never speculated, and a finished bet on
+  /// it never commits — the normal path's recovery parking / unrecoverable
+  /// error must not be bypassed by a snapshot of possibly-doomed bytes.
+  bool fault_risk(const SimTask& t) const;
   /// The body of a speculative attempt's sim process: runs the task body
   /// against the shadow buffers, then hands the context back and (if the
   /// serializer enabled the task meanwhile) decides commit/abort.
   void spec_process(TaskNode* task);
-  /// Commit check at serial enable time: no-op until the body is done;
-  /// then commits (epochs unchanged, body clean) or aborts.
+  /// Commit check at serial enable time (SpeculationGovernor::verdict):
+  /// no-op until the body is done; then commits or aborts.
   void decide_speculation(TaskNode* task);
   void commit_speculation(TaskNode* task);
   /// `charge_history` distinguishes a data-conflict abort (throttles the
@@ -208,8 +195,6 @@ class SimEngine : public Engine, private SerializerListener {
   /// Crash handling: aborts every live speculation resident on `m` before
   /// the recovery coordinator scans for restartable victims.
   void abort_speculations_on(MachineId m);
-  std::byte* spec_acquire_bytes(TaskNode* task, ObjectId obj,
-                                std::uint8_t mode);
 
   /// The body of every task's sim process.
   void task_process(TaskNode* task);
@@ -282,15 +267,10 @@ class SimEngine : public Engine, private SerializerListener {
   /// Task-creation throttling thresholds + counters (shared implementation
   /// with ThreadEngine); counters fold into stats_ at the end of run().
   ThrottleGate throttle_;
-  /// Speculation budget + conflict-history throttle + counters (shared
-  /// implementation with ThreadEngine); folds into stats_ like throttle_.
+  /// The speculation lifecycle — candidates, snapshots, commit check,
+  /// write-back, abort rewind, counters (shared implementation with
+  /// ThreadEngine); folds into stats_ like throttle_.
   SpeculationGovernor spec_gov_;
-  /// Pending tasks in creation order — the speculative dispatcher's
-  /// candidate scan window.  Entries are dropped once no longer pending.
-  std::deque<TaskNode*> spec_candidates_;
-  /// Speculating tasks the serializer enabled, awaiting their commit check
-  /// (drained in post_serializer; commit order = serial enable order).
-  std::deque<TaskNode*> spec_decide_;
   std::vector<TaskTimeline> timeline_;
 
   /// Clock + network adapter handed to the runtime services; must outlive

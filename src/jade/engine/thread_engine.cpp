@@ -13,11 +13,22 @@ namespace {
 /// Thrown inside a blocked task to unwind it when another task has already
 /// failed; never escapes the engine.
 struct EngineAborting {};
+
+/// True inside a handler whose exception is EngineAborting.
+bool engine_aborting_in_flight() {
+  try {
+    throw;
+  } catch (const EngineAborting&) {
+    return true;
+  } catch (...) {
+    return false;
+  }
+}
 }  // namespace
 
 thread_local ThreadEngine* ThreadEngine::tls_engine_ = nullptr;
 thread_local ThreadEngine::ThreadSlot* ThreadEngine::tls_slot_ = nullptr;
-thread_local ThreadEngine::SpecAttempt* ThreadEngine::tls_spec_ = nullptr;
+thread_local SpecAttempt* ThreadEngine::tls_spec_ = nullptr;
 
 ThreadEngine::TlsBinding::TlsBinding(ThreadEngine* engine, ThreadSlot* slot)
     : prev_engine_(tls_engine_), prev_slot_(tls_slot_) {
@@ -221,7 +232,7 @@ void ThreadEngine::on_task_ready(TaskNode* task) {
   if (task->speculating()) {
     // The task already ran (or is running) speculatively; it needs a
     // commit/abort decision, not a dispatch.
-    spec_decide_.push_back(task);
+    spec_gov_.defer_decision(task);
     return;
   }
   slot->deque.push(task);
@@ -318,11 +329,19 @@ void ThreadEngine::record_error(std::exception_ptr err) {
   unpark_all();  // the drain thread re-checks first_error_ before parking
 }
 
-void ThreadEngine::release_commute_tokens_locked(TaskNode* task) {
-  // Copy: release() mutates the held list.  No waiter hand-off — sleepers
-  // race for freed tokens under state_cv_, so next_holder is always null.
-  const std::vector<ObjectId> held = commute_.held(task);
-  for (ObjectId obj : held) commute_.release(obj, task);
+template <class Wake>
+void ThreadEngine::block_locked(TaskNode* task,
+                                std::unique_lock<std::mutex>& lock,
+                                bool spare, Wake&& wake) {
+  if (spare) ensure_spare_worker();
+  ++cv_waiters_;
+  blocked_.insert(task);
+  sleeping_threads_.fetch_add(1, std::memory_order_seq_cst);
+  maybe_notify_all_asleep_locked();
+  state_cv_.wait(lock, std::forward<Wake>(wake));
+  sleeping_threads_.fetch_sub(1, std::memory_order_seq_cst);
+  blocked_.erase(task);
+  --cv_waiters_;
 }
 
 bool ThreadEngine::drain_should_exit() {
@@ -345,11 +364,10 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
                       "run() re-entered while a previous run is active");
       serializer_.reset();
       unblocked_.clear();
+      blocked_.clear();
       commute_ = CommuteTokenTable{};
       throttle_.reset_counters();
-      spec_gov_.reset_counters();
-      spec_candidates_.clear();
-      spec_decide_.clear();
+      spec_gov_.reset();
       spec_attempts_.clear();
       first_error_ = nullptr;
       stats_ = RuntimeStats{};
@@ -394,8 +412,9 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       // The root never passes through execute(): return any commute tokens
-      // its body took, or commuting tasks would wait on them forever.
-      release_commute_tokens_locked(serializer_.root());
+      // its body took, or commuting tasks would wait on them forever.  No
+      // hand-off: sleepers race for freed tokens under state_cv_.
+      commute_.release_all(serializer_.root(), [](TaskNode*, ObjectId) {});
       if (!root_failed) {
         serializer_.complete_task(serializer_.root());
         drain_spec_decides_locked(root_slot);
@@ -449,14 +468,8 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
     metrics_.gauge(prefix + ".max_queue_depth")
         .set(static_cast<double>(depth[m]));
   }
-  stats_.throttle_suspensions = throttle_.suspensions();
-  stats_.throttle_giveups = throttle_.giveups();
-  stats_.spec_started = spec_gov_.started();
-  stats_.spec_committed = spec_gov_.committed();
-  stats_.spec_aborted = spec_gov_.aborted();
-  stats_.spec_denied = spec_gov_.denied();
-  stats_.spec_wasted_bytes = spec_gov_.wasted_bytes();
-  stats_.spec_wasted_work = spec_gov_.wasted_work();
+  throttle_.publish(stats_);
+  spec_gov_.publish(stats_);
   publish_runtime_stats();
   if (first_error_) std::rethrow_exception(first_error_);
 }
@@ -495,38 +508,19 @@ void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
   JADE_TRACE("exec-start " << task->name());
   TaskContext ctx(this, task);
   bool failed = false;
-  TenantCtl* ctl = task->tenant();
-  if (ctl != nullptr && ctl->cancelled.load(std::memory_order_relaxed)) {
-    // Forced teardown, dispatch edge: skip the body entirely and complete
-    // through the serializer as if it had run — successors (this tenant's
-    // and everyone else's) are released in the normal order.
-    ctl->tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    try {
-      task->body(ctx);
-    } catch (const EngineAborting&) {
-      failed = true;  // unwound because another task already failed
-    } catch (const TenantUnwind&) {
-      // Teardown caught the body at a spawn/wait edge; complete normally.
-      if (ctl != nullptr)
-        ctl->tasks_cancelled.fetch_add(1, std::memory_order_relaxed);
-    } catch (...) {
-      if (ctl != nullptr) {
-        // Per-tenant failure containment: the failure stays the tenant's
-        // (recorded, tenant cancelled); the engine keeps serving others.
-        ctl->record_failure(std::current_exception());
-        ctl->cancelled.store(true, std::memory_order_relaxed);
-      } else {
-        record_error(std::current_exception());
-        failed = true;
-      }
-    }
+  try {
+    run_body(task, ctx, engine_aborting_in_flight);
+  } catch (const EngineAborting&) {
+    failed = true;  // unwound because another task already failed
+  } catch (...) {
+    record_error(std::current_exception());
+    failed = true;
   }
   task->body = nullptr;
   bool drained = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    release_commute_tokens_locked(task);
+    commute_.release_all(task, [](TaskNode*, ObjectId) {});
     if (!failed) {
       // Completion retires the task's records; newly enabled tasks land in
       // this thread's deque via on_task_ready, which wakes a stealer for
@@ -557,32 +551,24 @@ void ThreadEngine::spawn(TaskNode* parent,
                          const std::vector<AccessRequest>& requests,
                          TaskContext::BodyFn body, std::string name,
                          MachineId /*placement*/, TenantCtl* tenant) {
-  // A speculative body cannot create real tasks; abort and re-run normally.
-  if (parent->speculating()) throw SpeculationUnwind{};
   // The creator's own tenant (not the child's): the dispatcher launching a
   // program root for tenant T is a host task and is never gated or unwound —
   // a blocked dispatcher would stall every other tenant.
-  TenantCtl* pctl = parent->tenant();
-  if (pctl != nullptr && pctl->cancelled.load(std::memory_order_relaxed))
-    throw TenantUnwind{};
+  TenantCtl* pctl = spawn_prologue(parent);
   std::unique_lock<std::mutex> lock(mu_);
   TaskNode* task = serializer_.create_task(parent, requests, std::move(body),
                                            std::move(name), tenant);
   ++stats_.tasks_created;
-  if (spec_gov_.enabled() && task->state() == TaskState::kPending &&
-      task->tenant() == nullptr) {
-    spec_candidates_.push_back(task);
+  if (spec_gov_.offer(task)) {
     // Candidates bypass ready_count_, so run the same register-then-recheck
     // wake protocol by hand: bump the epoch (parking threads re-check it),
     // then unpark one already-parked thread to scan.
     spec_epoch_.fetch_add(1, std::memory_order_seq_cst);
     wake_one();
   }
-  const bool global_needed =
-      throttle_.should_throttle(serializer_.backlog());
-  const bool tenant_needed =
-      pctl != nullptr && throttle_.tenant_gated(*pctl);
-  const bool wait_needed = global_needed || tenant_needed;
+  const ThrottleGate::Gates gate =
+      throttle_.gates(serializer_.backlog(), pctl);
+  const bool wait_needed = gate.any();
   if (!wait_needed) lock.unlock();
   if (tracer_.enabled())
     tracer_.instant(obs::Subsystem::kEngine, "task.created", task->id(),
@@ -601,13 +587,9 @@ void ThreadEngine::spawn(TaskNode* parent,
   JADE_TRACE("throttle-enter " << parent->name()
              << " backlog=" << serializer_.backlog());
   const auto clear = [&] {
-    const bool global_clear =
-        !global_needed || throttle_.backlog_drained(serializer_.backlog());
-    const bool tenant_clear =
-        !tenant_needed ||
-        pctl->cancelled.load(std::memory_order_relaxed) ||
-        throttle_.tenant_drained(*pctl);
-    return global_clear && tenant_clear;
+    return (!gate.global ||
+            throttle_.backlog_drained(serializer_.backlog())) &&
+           (!gate.tenant || throttle_.tenant_clear(pctl));
   };
   while (!clear()) {
     if (first_error_) throw EngineAborting{};
@@ -623,19 +605,13 @@ void ThreadEngine::spawn(TaskNode* parent,
       JADE_TRACE("throttle-giveup " << parent->name());
       return;
     }
-    ensure_spare_worker();
-    ++cv_waiters_;
     ++throttle_waiters_;
-    sleeping_threads_.fetch_add(1, std::memory_order_seq_cst);
-    maybe_notify_all_asleep_locked();
-    state_cv_.wait(lock, [&] {
+    block_locked(parent, lock, /*spare=*/true, [&] {
       return clear() || first_error_ != nullptr ||
              (sleeping_threads_.load(std::memory_order_seq_cst) >=
                   total_threads_.load(std::memory_order_seq_cst) &&
               ready_count_.load(std::memory_order_seq_cst) == 0);
     });
-    sleeping_threads_.fetch_sub(1, std::memory_order_seq_cst);
-    --cv_waiters_;
     --throttle_waiters_;
   }
   tracer_.instant(obs::Subsystem::kEngine, "throttle.resume", parent->id(),
@@ -656,10 +632,7 @@ void ThreadEngine::with_cont(TaskNode* task,
   const bool must_block = serializer_.update_spec(task, requests);
   // no_cm also returns the engine-level exclusivity token early, so other
   // commuters proceed before this task completes.
-  for (const AccessRequest& req : requests) {
-    if (!(req.remove & access::kCommute)) continue;
-    commute_.release(req.obj, task);  // no-op when task is not the holder
-  }
+  commute_.release_retired(task, requests, [](TaskNode*, ObjectId) {});
   // Weakened rights may have enabled a speculating successor.
   drain_spec_decides_locked(tls_slot_);
   if (must_block) wait_unblocked(task, lock);
@@ -669,7 +642,11 @@ void ThreadEngine::with_cont(TaskNode* task,
 
 std::byte* ThreadEngine::acquire_bytes(TaskNode* task, ObjectId obj,
                                        std::uint8_t mode) {
-  if (task->speculating()) return spec_acquire_bytes(task, obj, mode);
+  if (task->speculating()) {
+    JADE_ASSERT_MSG(tls_spec_ != nullptr && tls_spec_->task == task,
+                    "speculative access outside its executing thread");
+    return SpeculationGovernor::shadow_bytes(*tls_spec_, obj, mode);
+  }
   {
     std::unique_lock<std::mutex> lock(mu_);
     const bool must_block = serializer_.acquire(task, obj, mode);
@@ -686,18 +663,16 @@ std::byte* ThreadEngine::acquire_bytes(TaskNode* task, ObjectId obj,
           throw TenantUnwind{};
         if (commute_.try_acquire(obj, task)) break;
         if (first_error_) throw EngineAborting{};
-        ensure_spare_worker();
-        ++cv_waiters_;
-        sleeping_threads_.fetch_add(1, std::memory_order_seq_cst);
-        maybe_notify_all_asleep_locked();
-        state_cv_.wait(lock, [&] {
+        // Only a holder that is itself blocked needs this waiter to make
+        // sure of a spare (see blocked_); a running holder frees the token
+        // unaided.
+        const bool holder_blocked = blocked_.contains(commute_.holder(obj));
+        block_locked(task, lock, /*spare=*/holder_blocked, [&] {
           TaskNode* h = commute_.holder(obj);
           return h == nullptr || h == task || first_error_ != nullptr ||
                  (ctl != nullptr &&
                   ctl->cancelled.load(std::memory_order_relaxed));
         });
-        sleeping_threads_.fetch_sub(1, std::memory_order_seq_cst);
-        --cv_waiters_;
       }
     }
   }
@@ -713,15 +688,9 @@ void ThreadEngine::wait_unblocked(TaskNode* task,
   // strictly ahead in some queue, so the waits-for graph is acyclic and
   // the unblock always arrives (or the run aborts on first_error_).
   JADE_TRACE("unblk-enter " << task->name());
-  ensure_spare_worker();
-  ++cv_waiters_;
-  sleeping_threads_.fetch_add(1, std::memory_order_seq_cst);
-  maybe_notify_all_asleep_locked();
-  state_cv_.wait(lock, [this, task] {
+  block_locked(task, lock, /*spare=*/true, [this, task] {
     return unblocked_.contains(task) || first_error_ != nullptr;
   });
-  sleeping_threads_.fetch_sub(1, std::memory_order_seq_cst);
-  --cv_waiters_;
   if (!unblocked_.contains(task)) throw EngineAborting{};
   unblocked_.erase(task);
   JADE_TRACE("unblk-exit " << task->name());
@@ -740,59 +709,16 @@ bool ThreadEngine::try_speculate(ThreadSlot* slot) {
     slot->spec_seen_epoch = spec_epoch_.load(std::memory_order_seq_cst);
     if (first_error_ != nullptr || !spec_gov_.can_start()) return false;
     std::vector<ObjectId> contested;
-    std::size_t i = 0;
-    std::size_t examined = 0;
-    while (i < spec_candidates_.size() &&
-           examined < spec_gov_.config().window) {
-      TaskNode* task = spec_candidates_[i];
-      if (task->state() != TaskState::kPending || task->speculating()) {
-        spec_candidates_.erase(spec_candidates_.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
-      ++examined;
-      if (!serializer_.spec_eligible(task, &contested)) {
-        ++i;  // may become eligible once a predecessor weakens
-        continue;
-      }
-      bool throttled = false;
-      for (ObjectId obj : contested) {
-        if (spec_gov_.object_throttled(obj)) {
-          throttled = true;
-          break;
-        }
-      }
-      if (throttled) {
-        // This object keeps conflicting; stop betting on it.  The task is
-        // dropped from the candidate list for good — it runs normally.
-        spec_gov_.note_denied();
-        spec_candidates_.erase(spec_candidates_.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
-      spec_candidates_.erase(spec_candidates_.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-      picked = task;
-      break;
-    }
+    picked = spec_gov_.pick(serializer_, &contested,
+                            [](TaskNode*) { return true; });
     if (picked == nullptr) return false;
-    serializer_.spec_start(picked);
-    spec_gov_.note_start();
     auto attempt = std::make_unique<SpecAttempt>();
-    attempt->task = picked;
-    attempt->charge_base = picked->charged_work;
-    attempt->contested = std::move(contested);
     // Epoch+bytes capture is atomic w.r.t. conflicting writers while mu_ is
     // held: a conflicting predecessor's first touch must pass through
     // Serializer::acquire (under mu_, bumping the epoch), and successors are
-    // blocked behind this task's own linked records.  Pure-commute rights
-    // are excluded: exercising one aborts the attempt.
-    for (const DeclRecord* rec : picked->ordered_records()) {
-      if (rec->immediate == 0 || rec->immediate == access::kCommute) continue;
-      attempt->epochs.emplace_back(rec->obj,
-                                   serializer_.write_epoch(rec->obj));
-      attempt->shadows.emplace_back(rec->obj, buffers_.get(rec->obj));
-    }
+    // blocked behind this task's own linked records.
+    spec_gov_.start(*attempt, picked, serializer_, std::move(contested),
+                    [this](ObjectId obj) { return buffers_.get(obj); });
     att = attempt.get();
     spec_attempts_[picked] = std::move(attempt);
     if (tracer_.enabled())
@@ -814,11 +740,10 @@ void ThreadEngine::run_speculation(TaskNode* task, SpecAttempt* att,
   bool failed = false;
   try {
     task->body(ctx);
-  } catch (const SpeculationUnwind&) {
-    failed = true;
   } catch (...) {
-    // A speculative body's failure may be an artifact of snapshot staleness;
-    // abort silently — a genuine error reproduces on the normal re-run.
+    // SpeculationUnwind, or a failure that may be an artifact of snapshot
+    // staleness: abort silently — a genuine error reproduces on the normal
+    // re-run.
     failed = true;
   }
   tls_spec_ = prev_spec;
@@ -840,12 +765,8 @@ void ThreadEngine::run_speculation(TaskNode* task, SpecAttempt* att,
 }
 
 void ThreadEngine::drain_spec_decides_locked(ThreadSlot* slot) {
-  while (!spec_decide_.empty()) {
-    TaskNode* task = spec_decide_.front();
-    spec_decide_.pop_front();
-    if (!task->speculating()) continue;  // already decided
+  while (TaskNode* task = spec_gov_.next_decision())
     decide_speculation_locked(task, slot);
-  }
 }
 
 void ThreadEngine::decide_speculation_locked(TaskNode* task,
@@ -854,111 +775,45 @@ void ThreadEngine::decide_speculation_locked(TaskNode* task,
   JADE_ASSERT(it != spec_attempts_.end());
   SpecAttempt& att = *it->second;
   if (!att.body_done) return;  // run_speculation re-decides at the body end
-  JADE_ASSERT(task->state() == TaskState::kReady);
-  bool ok = !att.failed;
-  bool conflict = false;
-  if (ok) {
-    // The serializer is the commit check: the task is enabled in serial
-    // order, and unchanged write epochs prove no conflicting write
-    // materialized since the snapshot.
-    for (const auto& [obj, epoch] : att.epochs) {
-      if (serializer_.write_epoch(obj) != epoch) {
-        ok = false;
-        conflict = true;
-        break;
-      }
+  const SpecVerdict v = spec_gov_.verdict(att, serializer_, /*doomed=*/false);
+  if (v == SpecVerdict::kCommit) {
+    spec_gov_.commit(att, serializer_,
+                     [this](ObjectId obj, const std::vector<std::byte>& bytes) {
+                       buffers_.put(obj, bytes);
+                     });
+    JADE_TRACE("spec-commit " << task->name());
+    if (tracer_.enabled()) {
+      tracer_.instant(obs::Subsystem::kEngine, "spec.commit", task->id(),
+                      slot->machine, static_cast<double>(att.dirty.size()));
+      // The task's span materializes at its serial position (zero width:
+      // the work itself ran earlier, speculatively).
+      tracer_.span_begin(obs::Subsystem::kEngine, "task", task->id(),
+                         slot->machine, task->name());
+      tracer_.span_end(obs::Subsystem::kEngine, "task", task->id(),
+                       slot->machine, task->charged_work);
     }
-  }
-  if (ok) {
-    commit_speculation_locked(task, att, slot);
+    task->body = nullptr;
+    ++slot->executed;
+    serializer_.complete_task(task);
+    // Starting+completing the task shrank the backlog; suspended creators
+    // watch it.
+    if (throttle_waiters_ > 0 &&
+        throttle_.backlog_drained(serializer_.backlog()))
+      state_cv_.notify_all();
   } else {
-    abort_speculation_locked(task, att, /*charge_history=*/conflict);
+    // The per-thread charge cell keeps the rewound charge as wasted work in
+    // the global total (mirroring ft kills).
+    const double wasted_work = spec_gov_.abort(
+        att, serializer_, /*charge_history=*/v == SpecVerdict::kConflict);
+    JADE_TRACE("spec-abort " << task->name());
+    if (tracer_.enabled())
+      tracer_.instant(obs::Subsystem::kEngine, "spec.abort", task->id(),
+                      machine_of(task), wasted_work);
+    task->assigned_machine = -1;
+    // An already-enabled task re-enters the normal dispatch path.
+    if (task->state() == TaskState::kReady) on_task_ready(task);
   }
   spec_attempts_.erase(it);
-}
-
-void ThreadEngine::commit_speculation_locked(TaskNode* task, SpecAttempt& att,
-                                             ThreadSlot* slot) {
-  serializer_.spec_commit(task);  // kReady -> kRunning, in serial order
-  spec_gov_.note_commit();
-  // The buffered writes become the canonical bytes *before* complete_task
-  // can enable any successor — exactly where a normal run's writes would
-  // already be.
-  for (ObjectId obj : att.dirty) {
-    for (const auto& [sobj, bytes] : att.shadows) {
-      if (sobj != obj) continue;
-      buffers_.put(obj, bytes);
-      break;
-    }
-    serializer_.bump_write_epoch(obj);
-  }
-  JADE_TRACE("spec-commit " << task->name());
-  if (tracer_.enabled()) {
-    tracer_.instant(obs::Subsystem::kEngine, "spec.commit", task->id(),
-                    slot->machine, static_cast<double>(att.dirty.size()));
-    // The task's span materializes at its serial position (zero width: the
-    // work itself ran earlier, speculatively).
-    tracer_.span_begin(obs::Subsystem::kEngine, "task", task->id(),
-                       slot->machine, task->name());
-    tracer_.span_end(obs::Subsystem::kEngine, "task", task->id(),
-                     slot->machine, task->charged_work);
-  }
-  task->body = nullptr;
-  ++slot->executed;
-  serializer_.complete_task(task);
-  // Starting+completing the task shrank the backlog; suspended creators
-  // watch it.
-  if (throttle_waiters_ > 0 &&
-      throttle_.backlog_drained(serializer_.backlog()))
-    state_cv_.notify_all();
-}
-
-void ThreadEngine::abort_speculation_locked(TaskNode* task, SpecAttempt& att,
-                                            bool charge_history) {
-  std::uint64_t wasted_bytes = 0;
-  for (const auto& [obj, bytes] : att.shadows) wasted_bytes += bytes.size();
-  const double wasted_work = task->charged_work - att.charge_base;
-  spec_gov_.note_abort(
-      charge_history ? att.contested : std::vector<ObjectId>{}, wasted_bytes,
-      wasted_work);
-  // The attempt's charge never happened; the per-thread cell keeps it as
-  // wasted-work contribution to the global total (mirroring ft kills).
-  task->charged_work = att.charge_base;
-  serializer_.spec_abort(task);
-  JADE_TRACE("spec-abort " << task->name());
-  if (tracer_.enabled())
-    tracer_.instant(obs::Subsystem::kEngine, "spec.abort", task->id(),
-                    machine_of(task), wasted_work);
-  task->assigned_machine = -1;
-  // An already-enabled task re-enters the normal dispatch path.
-  if (task->state() == TaskState::kReady) on_task_ready(task);
-}
-
-std::byte* ThreadEngine::spec_acquire_bytes(TaskNode* task, ObjectId obj,
-                                            std::uint8_t mode) {
-  SpecAttempt* att = tls_spec_;
-  JADE_ASSERT_MSG(att != nullptr && att->task == task,
-                  "speculative access outside its executing thread");
-  DeclRecord* rec = task->find_record(obj);
-  // Undeclared or commuting access: abort the speculation; the normal
-  // re-run raises the real error (or takes the commute token) at the same
-  // deterministic point.
-  if (rec == nullptr ||
-      (mode & static_cast<std::uint8_t>(~rec->immediate)) ||
-      (mode & access::kCommute)) {
-    throw SpeculationUnwind{};
-  }
-  for (auto& [sobj, bytes] : att->shadows) {
-    if (sobj != obj) continue;
-    if (mode & access::kWrite) {
-      if (std::find(att->dirty.begin(), att->dirty.end(), obj) ==
-          att->dirty.end()) {
-        att->dirty.push_back(obj);
-      }
-    }
-    return bytes.data();
-  }
-  throw SpeculationUnwind{};  // no shadow (pure-commute record)
 }
 
 void ThreadEngine::charge(TaskNode* task, double units) {

@@ -144,27 +144,6 @@ class ThreadEngine : public Engine, private SerializerListener {
     ThreadSlot* prev_slot_;
   };
 
-  /// One speculative attempt's private state (SchedPolicy::spec).  Created
-  /// under mu_ when the speculation starts; the executing thread reads the
-  /// shadow buffers lock-free through tls_spec_ (nothing else touches them
-  /// until body_done, which is only set under mu_); destroyed under mu_ at
-  /// commit/abort.
-  struct SpecAttempt {
-    TaskNode* task = nullptr;
-    bool body_done = false;
-    bool failed = false;
-    double charge_base = 0;
-    /// Snapshot-isolated staging copies of the declared immediate objects.
-    std::vector<std::pair<ObjectId, std::vector<std::byte>>> shadows;
-    std::vector<ObjectId> dirty;  ///< shadows written by the body, in order
-    /// Serializer write epoch per snapshotted object at capture time;
-    /// unchanged epochs at decision time are the commit proof.
-    std::vector<std::pair<ObjectId, std::uint64_t>> epochs;
-    /// Objects contested by a not-yet-exercised predecessor writer (the
-    /// bet); they charge the governor's conflict history on a data abort.
-    std::vector<ObjectId> contested;
-  };
-
   void on_task_ready(TaskNode* task) override;
   void on_task_unblocked(TaskNode* task) override;
 
@@ -206,6 +185,13 @@ class ThreadEngine : public Engine, private SerializerListener {
   /// Blocks the calling task until on_task_unblocked fires for it; called
   /// with mu_ held.
   void wait_unblocked(TaskNode* task, std::unique_lock<std::mutex>& lock);
+  /// Sleeps the calling `task` on state_cv_ (mu_ held via `lock`) until
+  /// `wake()` holds — the one shape of every mid-body wait.  The task is
+  /// listed in blocked_ and its thread counted as sleeping meanwhile; with
+  /// `spare`, a spare worker is made sure of first (ensure_spare_worker).
+  template <class Wake>
+  void block_locked(TaskNode* task, std::unique_lock<std::mutex>& lock,
+                    bool spare, Wake&& wake);
   /// Called (with mu_ held) before a task blocks mid-body: if no idle
   /// thread remains, spawns a compensating worker so ready tasks always
   /// have an empty-stack executor.  Tasks are never executed inline on a
@@ -214,10 +200,6 @@ class ThreadEngine : public Engine, private SerializerListener {
   void ensure_spare_worker();
   /// Records the first failure, wakes every waiter/parked thread.
   void record_error(std::exception_ptr err);
-  /// Returns every commute token `task` still holds (mu_ held).  Called at
-  /// task completion — including the root's, which never passes through
-  /// execute() but may have taken tokens in its body.
-  void release_commute_tokens_locked(TaskNode* task);
 
   // --- speculation (run-ahead when a worker finds no ready task) -----------
 
@@ -228,19 +210,11 @@ class ThreadEngine : public Engine, private SerializerListener {
   /// Runs the speculative body (no lock held) and, if the serializer enabled
   /// the task meanwhile, decides commit/abort at the body's end.
   void run_speculation(TaskNode* task, SpecAttempt* att, ThreadSlot* slot);
-  /// Drains spec_decide_ (tasks that turned kReady while speculating); call
-  /// after every serializer-mutating section, with mu_ held.
+  /// Decides every speculating task that turned kReady (the governor's
+  /// deferred decisions); call after every serializer-mutating section,
+  /// with mu_ held.
   void drain_spec_decides_locked(ThreadSlot* slot);
   void decide_speculation_locked(TaskNode* task, ThreadSlot* slot);
-  void commit_speculation_locked(TaskNode* task, SpecAttempt& att,
-                                 ThreadSlot* slot);
-  void abort_speculation_locked(TaskNode* task, SpecAttempt& att,
-                                bool charge_history);
-  /// acquire_bytes for a speculatively executing body: translate into the
-  /// attempt's shadow buffers, lock-free (the attempt is pinned to this
-  /// thread via tls_spec_).
-  std::byte* spec_acquire_bytes(TaskNode* task, ObjectId obj,
-                                std::uint8_t mode);
 
   /// Registers the next ThreadSlot (single-threaded at run() start, under
   /// mu_ afterwards) and publishes it to stealing threads.
@@ -253,7 +227,9 @@ class ThreadEngine : public Engine, private SerializerListener {
   static thread_local ThreadEngine* tls_engine_;
   static thread_local ThreadSlot* tls_slot_;
   /// The speculation the calling thread is currently executing, if any
-  /// (installed around the body in run_speculation).
+  /// (installed around the body in run_speculation).  Its shadow buffers are
+  /// read lock-free: nothing else touches them until body_done, which is
+  /// only set under mu_.
   static thread_local SpecAttempt* tls_spec_;
 
   const int workers_requested_;
@@ -275,20 +251,23 @@ class ThreadEngine : public Engine, private SerializerListener {
   std::condition_variable state_cv_;  ///< blocked tasks / throttled creators
   Serializer serializer_;
   std::unordered_set<TaskNode*> unblocked_;
-  /// Speculation budget + per-object conflict-history throttle (shared
-  /// implementation with SimEngine, sched/governor.hpp).  Mutated under mu_.
+  /// Tasks asleep in a mid-body wait (block_locked).  A commute waiter
+  /// whose token holder is not among them needs no spare worker: the
+  /// holder is running and returns the token unaided, and should it block
+  /// later, its own wait makes sure of a spare.
+  std::unordered_set<const TaskNode*> blocked_;
+  /// The speculation lifecycle — candidates, snapshots, commit check,
+  /// write-back, abort rewind, counters (shared implementation with
+  /// SimEngine, sched/governor.hpp).  Mutated under mu_.
   SpeculationGovernor spec_gov_;
-  /// Pending tasks registered at spawn as possible speculation targets.
-  std::deque<TaskNode*> spec_candidates_;
   /// Bumped (under mu_) when a candidate is registered.  Candidates do not
   /// raise ready_count_, so without this a thread that found no work before
   /// the registration would park and never learn about the bet — the
   /// spawner may be deep inside a long task body and in the worst case
   /// every other thread sleeps through the whole speculation window.
   std::atomic<std::uint64_t> spec_epoch_{0};
-  /// Speculating tasks the serializer enabled (diverted by on_task_ready);
-  /// decided by drain_spec_decides_locked.
-  std::deque<TaskNode*> spec_decide_;
+  /// Live attempts, created under mu_ when a speculation starts and
+  /// destroyed under mu_ at commit/abort.
   std::unordered_map<TaskNode*, std::unique_ptr<SpecAttempt>> spec_attempts_;
   /// Commuting-update exclusivity (Section 4.3 extension): commuters may
   /// execute in any order but their accesses are mutually exclusive.  A

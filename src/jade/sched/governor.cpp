@@ -62,6 +62,97 @@ void CommuteTokenTable::remove_waiter(TaskNode* task) {
   }
 }
 
+std::byte* SpeculationGovernor::shadow_bytes(SpecAttempt& att, ObjectId obj,
+                                             std::uint8_t mode) {
+  JADE_ASSERT(att.active);
+  const DeclRecord* rec = att.task->find_record(obj);
+  if (rec == nullptr ||
+      (mode & static_cast<std::uint8_t>(~rec->immediate)) ||
+      (mode & access::kCommute)) {
+    throw SpeculationUnwind{};
+  }
+  for (auto& [sobj, bytes] : att.shadows) {
+    if (sobj != obj) continue;
+    if ((mode & access::kWrite) &&
+        std::find(att.dirty.begin(), att.dirty.end(), obj) == att.dirty.end())
+      att.dirty.push_back(obj);
+    return bytes.data();
+  }
+  throw SpeculationUnwind{};  // no shadow (pure-commute record)
+}
+
+TaskNode* SpeculationGovernor::next_decision() {
+  while (!decide_.empty()) {
+    TaskNode* task = decide_.front();
+    decide_.pop_front();
+    if (task->speculating()) return task;  // else already decided
+  }
+  return nullptr;
+}
+
+SpecVerdict SpeculationGovernor::verdict(const SpecAttempt& att,
+                                         const Serializer& ser,
+                                         bool doomed) const {
+  JADE_ASSERT(att.active && att.body_done &&
+              att.task->state() == TaskState::kReady);
+  if (att.failed || doomed) return SpecVerdict::kFailed;
+  // The serializer is the commit check: the task is enabled in serial
+  // order, and unchanged write epochs prove no conflicting write
+  // materialized since the snapshot.
+  for (const auto& [obj, epoch] : att.epochs)
+    if (ser.write_epoch(obj) != epoch) return SpecVerdict::kConflict;
+  return SpecVerdict::kCommit;
+}
+
+double SpeculationGovernor::abort(SpecAttempt& att, Serializer& ser,
+                                  bool charge_history) {
+  TaskNode* task = att.task;
+  std::uint64_t wasted_bytes = 0;
+  for (const auto& [obj, bytes] : att.shadows) wasted_bytes += bytes.size();
+  const double wasted_work = task->charged_work - att.charge_base;
+  --live_;
+  ++aborted_;
+  wasted_bytes_ += wasted_bytes;
+  wasted_work_ += wasted_work;
+  if (charge_history)
+    for (ObjectId obj : att.contested) ++conflict_history_[obj];
+  // The attempt's charge never happened (engines that keep a running total
+  // count it as wasted work, mirroring ft kills).
+  task->charged_work = att.charge_base;
+  ser.spec_abort(task);
+  att = SpecAttempt{};
+  return wasted_work;
+}
+
+void SpeculationGovernor::publish(RuntimeStats& stats) const {
+  stats.spec_started = started_;
+  stats.spec_committed = committed_;
+  stats.spec_aborted = aborted_;
+  stats.spec_denied = denied_;
+  stats.spec_wasted_bytes = wasted_bytes_;
+  stats.spec_wasted_work = wasted_work_;
+}
+
+void SpeculationGovernor::reset() {
+  live_ = 0;
+  started_ = committed_ = aborted_ = denied_ = 0;
+  wasted_bytes_ = 0;
+  wasted_work_ = 0;
+  conflict_history_.clear();
+  candidates_.clear();
+  decide_.clear();
+}
+
+bool SpeculationGovernor::any_throttled(
+    const std::vector<ObjectId>& objs) const {
+  for (ObjectId obj : objs) {
+    auto it = conflict_history_.find(obj);
+    if (it != conflict_history_.end() && it->second >= config_.conflict_limit)
+      return true;
+  }
+  return false;
+}
+
 std::vector<std::pair<std::uint64_t, std::uint64_t>> fair_share_windows(
     std::uint64_t pool, const std::vector<double>& weights,
     std::uint64_t min_window) {

@@ -37,14 +37,18 @@ SchedPolicy spec_on(int max_live = 8, int conflict_limit = 2) {
 /// The canonical speculation-friendly shape: a conservative "refresh" stage
 /// declares rd_wr on a control object but (this round) never touches it,
 /// then `solvers` independent tasks each read the control object and write
-/// their own output.  Returns the run's duration; outputs land in `out`.
+/// their own output.  `stall` also holds the conservative stage for that
+/// much real time (how a ThreadEngine run leaves idle workers to bet).
+/// Returns the run's duration; outputs land in `out`.
 double run_pipeline(Runtime& rt, SharedRef<int> ctrl,
-                    const std::vector<SharedRef<int>>& outs, int rounds) {
+                    const std::vector<SharedRef<int>>& outs, int rounds,
+                    std::chrono::milliseconds stall = {}) {
   rt.run([&](TaskContext& ctx) {
     for (int r = 0; r < rounds; ++r) {
       ctx.withonly([&](AccessDecl& d) { d.rd_wr(ctrl); },
-                   [](TaskContext& t) {
+                   [stall](TaskContext& t) {
                      t.charge(1e7);  // 1 virtual second; no write happens
+                     std::this_thread::sleep_for(stall);
                    });
       for (auto out : outs) {
         ctx.withonly([&](AccessDecl& d) { d.rd(ctrl); d.wr(out); },
@@ -145,15 +149,54 @@ TEST(SimSpeculation, ConflictHistoryThrottlesRepeatOffenders) {
   EXPECT_GE(s.spec_denied, 1u);
 }
 
-TEST(SimSpeculation, UnsupportedOperationsAbortSilently) {
+TEST(SimSpeculation, SameSeedRunsAreDeterministic) {
+  auto capture = [&] {
+    Runtime rt(sim_config(8, spec_on()));
+    auto ctrl = rt.alloc<int>(1);
+    std::vector<SharedRef<int>> outs;
+    for (int i = 0; i < 6; ++i) outs.push_back(rt.alloc<int>(1));
+    const double d = run_pipeline(rt, ctrl, outs, /*rounds=*/3);
+    return std::make_tuple(d, rt.stats().spec_started,
+                           rt.stats().spec_committed,
+                           rt.stats().spec_aborted);
+  };
+  EXPECT_EQ(capture(), capture());
+}
+
+RuntimeConfig thread_config(int threads, SchedPolicy sched) {
+  RuntimeConfig cfg;
+  cfg.engine = EngineKind::kThread;
+  cfg.threads = threads;
+  cfg.sched = sched;
+  return cfg;
+}
+
+// --- the same contract on every engine that speculates ---------------------
+
+/// One engine input.  `stall` is the real time a conservative stage holds
+/// its worker: SimEngine stalls in virtual time (charge), ThreadEngine needs
+/// a real wait so idle workers run the solvers ahead.
+struct SpecEngine {
+  const char* name;
+  RuntimeConfig (*config)(SchedPolicy);
+  std::chrono::milliseconds stall;
+};
+
+class Speculation : public ::testing::TestWithParam<SpecEngine> {};
+
+TEST_P(Speculation, UnsupportedOperationsAbortSilently) {
   // A speculative body that spawns (or changes its declaration) cannot run
   // ahead; it aborts, re-runs normally, and the child still executes.
-  Runtime rt(sim_config(4, spec_on()));
+  Runtime rt(GetParam().config(spec_on()));
+  const std::chrono::milliseconds stall = GetParam().stall;
   auto ctrl = rt.alloc<int>(1);
   auto out = rt.alloc<int>(1);
   rt.run([&](TaskContext& ctx) {
     ctx.withonly([&](AccessDecl& d) { d.rd_wr(ctrl); },
-                 [](TaskContext& t) { t.charge(1e7); });
+                 [stall](TaskContext& t) {
+                   t.charge(1e7);
+                   std::this_thread::sleep_for(stall);
+                 });
     ctx.withonly([&](AccessDecl& d) { d.rd(ctrl); d.df_wr(out); },
                  [ctrl, out](TaskContext& t) {
                    t.charge(1e6);
@@ -169,25 +212,11 @@ TEST(SimSpeculation, UnsupportedOperationsAbortSilently) {
   EXPECT_EQ(s.spec_started, s.spec_committed + s.spec_aborted);
 }
 
-TEST(SimSpeculation, SameSeedRunsAreDeterministic) {
-  auto capture = [&] {
-    Runtime rt(sim_config(8, spec_on()));
-    auto ctrl = rt.alloc<int>(1);
-    std::vector<SharedRef<int>> outs;
-    for (int i = 0; i < 6; ++i) outs.push_back(rt.alloc<int>(1));
-    const double d = run_pipeline(rt, ctrl, outs, /*rounds=*/3);
-    return std::make_tuple(d, rt.stats().spec_started,
-                           rt.stats().spec_committed,
-                           rt.stats().spec_aborted);
-  };
-  EXPECT_EQ(capture(), capture());
-}
-
-TEST(SimSpeculation, CountersReachTheMetricsRegistry) {
-  Runtime rt(sim_config(4, spec_on()));
+TEST_P(Speculation, CountersReachTheMetricsRegistry) {
+  Runtime rt(GetParam().config(spec_on()));
   auto ctrl = rt.alloc<int>(1);
   std::vector<SharedRef<int>> outs{rt.alloc<int>(1), rt.alloc<int>(1)};
-  run_pipeline(rt, ctrl, outs, 1);
+  run_pipeline(rt, ctrl, outs, 1, GetParam().stall);
   const RuntimeStats& s = rt.stats();
   EXPECT_GT(s.spec_started, 0u);
   auto& m = rt.engine().metrics();
@@ -198,15 +227,18 @@ TEST(SimSpeculation, CountersReachTheMetricsRegistry) {
   EXPECT_EQ(m.counter("spec.wasted_bytes").value(), s.spec_wasted_bytes);
 }
 
-// --- ThreadEngine: real parallelism, correctness under any interleaving ----
+INSTANTIATE_TEST_SUITE_P(
+    , Speculation,
+    ::testing::Values(
+        SpecEngine{"Sim", [](SchedPolicy p) { return sim_config(4, p); },
+                   std::chrono::milliseconds(0)},
+        SpecEngine{"Thread", [](SchedPolicy p) { return thread_config(4, p); },
+                   std::chrono::milliseconds(50)}),
+    [](const ::testing::TestParamInfo<SpecEngine>& info) {
+      return std::string(info.param.name);
+    });
 
-RuntimeConfig thread_config(int threads, SchedPolicy sched) {
-  RuntimeConfig cfg;
-  cfg.engine = EngineKind::kThread;
-  cfg.threads = threads;
-  cfg.sched = sched;
-  return cfg;
-}
+// --- ThreadEngine: real parallelism, correctness under any interleaving ----
 
 TEST(ThreadSpeculation, SerialSemanticsUnderCommitsAndAborts) {
   for (int iter = 0; iter < 20; ++iter) {

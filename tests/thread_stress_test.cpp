@@ -1,7 +1,8 @@
 // ThreadEngine-specific concurrency tests: the sharded buffer table, the
 // determinism contract under real parallelism (results must equal the
 // SerialEngine's bit-for-bit), the throttle deadlock-escape, and
-// compensating-worker growth when every pool thread is blocked.
+// compensating-worker growth: when every pool thread is blocked, and its
+// absence when commuters merely queue behind a running token holder.
 //
 // The scheduling tests are built so the interesting path is *forced*, not
 // raced into: the throttle test constructs a graph whose backlog cannot
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <thread>
 #include <vector>
@@ -161,6 +163,39 @@ TEST(ThreadStress, BlockedWorkerSpawnsCompensatingWorker) {
   });
   EXPECT_EQ(rt.get(w)[0], 43u);
   EXPECT_GE(rt.stats().compensating_workers, 1u);
+}
+
+// Commute contention: every task commutes on one accumulator and holds its
+// token for a few microseconds, so ready commuters pile up behind whichever
+// task holds it.  The holder is running, not blocked — it returns the token
+// unaided — so a waiter needs no compensating worker.  Starting one per
+// waiter would grow the pool toward the number of ready commuters, past
+// the engine's slot limit at ~10k tasks.
+TEST(ThreadStress, CommuteContentionKeepsThreadsBounded) {
+  constexpr int kTasks = 2000;
+  RuntimeConfig cfg;
+  cfg.engine = EngineKind::kThread;
+  cfg.threads = 3;
+  const int threads = cfg.threads;
+  Runtime rt(std::move(cfg));
+  auto acc = rt.alloc<std::uint64_t>(1, "acc");
+  rt.run([&](TaskContext& ctx) {
+    for (int i = 0; i < kTasks; ++i) {
+      ctx.withonly([&](AccessDecl& d) { d.cm(acc); },
+                   [acc, i](TaskContext& t) {
+                     auto h = t.commute(acc);
+                     const auto until = std::chrono::steady_clock::now() +
+                                        std::chrono::microseconds(5);
+                     while (std::chrono::steady_clock::now() < until) {
+                     }
+                     h[0] += static_cast<std::uint64_t>(i) + 1;
+                   });
+    }
+  });
+  EXPECT_EQ(rt.get(acc)[0],
+            static_cast<std::uint64_t>(kTasks) * (kTasks + 1) / 2);
+  EXPECT_LE(rt.stats().compensating_workers,
+            static_cast<std::uint64_t>(threads));
 }
 
 }  // namespace
