@@ -1,4 +1,4 @@
-// CostModel validation + ModelPlanner auto-tuning (docs/MODEL.md).
+// CostModel validation + model::tune_policy auto-tuning (docs/MODEL.md).
 //
 // Part 1 — prediction error.  Every scenario below is profiled once
 // (model::profile_workload: four cheap canonical SimEngine runs) and then
@@ -9,12 +9,12 @@
 // reported figure is the absolute relative error of those held-out
 // predictions; the bench exits non-zero when the median exceeds 15%.
 //
-// Part 2 — auto-tuning.  Per scenario a ModelPlanner (the fitted model +
-// that scenario's features) is handed to the Runtime as
-// RuntimeConfig::planner; plan_policy searches the candidate grid and the
-// run executes whatever policy it returns.  The tuned run must match or
-// beat the hand-set default on every scenario (it deviates only when the
-// model predicts a >10% win), and must actually win >=10% on at least two.
+// Part 2 — auto-tuning.  Per scenario model::tune_policy (the fitted model +
+// that scenario's features) searches the candidate grid, and the run
+// executes whatever policy it returns as RuntimeConfig::sched.  The tuned
+// run must match or beat the hand-set default on every scenario (it
+// deviates only when the model predicts a >10% win), and must actually win
+// >=10% on at least two.
 // Every run — training, validation, tuned — is verified bit-exactly against
 // the serial reference engine.
 //
@@ -26,7 +26,6 @@
 #include <cstring>
 #include <functional>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,7 +39,6 @@
 #include "jade/core/runtime.hpp"
 #include "jade/mach/presets.hpp"
 #include "jade/model/cost_model.hpp"
-#include "jade/model/model_planner.hpp"
 #include "jade/model/profiler.hpp"
 #include "jade/support/stats.hpp"
 
@@ -201,16 +199,14 @@ std::vector<std::int64_t> serial_reference(const Workload& w) {
   return w(rt);
 }
 
-/// One SimEngine run on (cluster, policy [, planner]); verifies the result
-/// and returns virtual seconds.
+/// One SimEngine run on (cluster, policy); verifies the result and returns
+/// virtual seconds.
 double run_sim(const Scenario& sc, const SchedPolicy& policy,
-               const std::vector<std::int64_t>& expect,
-               std::shared_ptr<const model::Planner> planner = nullptr) {
+               const std::vector<std::int64_t>& expect) {
   RuntimeConfig cfg;
   cfg.engine = EngineKind::kSim;
   cfg.cluster = sc.target;
   cfg.sched = policy;
-  cfg.planner = std::move(planner);
   Runtime rt(std::move(cfg));
   if (sc.workload(rt) != expect) {
     std::cerr << sc.name << ": verification failed against the serial "
@@ -347,11 +343,9 @@ int main(int argc, char** argv) {
   TextTable tuner({"scenario", "policy", "default", "auto", "speedup"});
   int wins = 0;
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
-    auto planner = std::make_shared<model::ModelPlanner>(cost, features[s]);
-    const SchedPolicy chosen =
-        planner->plan_policy(scenarios[s].target, kDefault);
-    const double auto_seconds =
-        run_sim(scenarios[s], kDefault, expects[s], planner);
+    const SchedPolicy chosen = model::tune_policy(
+        cost, features[s], scenarios[s].target, kDefault);
+    const double auto_seconds = run_sim(scenarios[s], chosen, expects[s]);
     const double speedup = actual_default[s] / auto_seconds;
     const bool deviated =
         chosen.contexts_per_machine != kDefault.contexts_per_machine ||

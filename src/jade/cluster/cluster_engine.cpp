@@ -55,12 +55,9 @@ void nak_with_cont(Channel& ch, const TaskNode* task, ErrorCode code,
 }  // namespace
 
 ClusterEngine::ClusterEngine(Options options, SchedPolicy sched,
-                             bool enforce_hierarchy,
-                             std::shared_ptr<const model::Planner> planner)
+                             bool enforce_hierarchy)
     : options_(options),
       sched_(sched),
-      planner_(planner != nullptr ? std::move(planner)
-                                  : model::default_planner()),
       serializer_(this, enforce_hierarchy),
       directory_(options.workers),
       transport_([this] { return wall_now(); }, &tracer_),
@@ -78,7 +75,7 @@ ClusterEngine::ClusterEngine(Options options, SchedPolicy sched,
       transport_, directory_, objects_,
       std::vector<Endian>(static_cast<std::size_t>(options_.workers),
                           Endian::kLittle),
-      CoherenceConfig{sched_.comm, 64, 0.0}, stats_, &tracer_);
+      CoherenceConfig{64, 0.0}, stats_, &tracer_);
   serializer_.set_tenant_oracle(
       [this](ObjectId obj) { return objects_.info(obj).tenant; });
   // A worker can die with coordinator frames still queued toward it.
@@ -825,26 +822,22 @@ void ClusterEngine::pump_locked() {
         index_of.push_back(i);
       }
       if (lists.empty()) continue;
-      std::size_t pick;
-      if (tracer_.enabled()) {
-        // Tracing: capture the scored window too, so the selection can be
-        // audited from the trace (the SimEngine "sched.place" counterpart).
-        PlacementExplain explain;
-        pick = planner_->select_task(
-            directory_, {lists, slot.machine, sched_.locality}, &explain);
-        if (pick != SIZE_MAX) {
-          std::vector<std::uint64_t> ids;
-          ids.reserve(index_of.size());
-          for (std::size_t idx : index_of) ids.push_back(ready_[idx]->id());
-          tracer_.instant_at(
-              wall_now(), obs::Subsystem::kSched, "sched.place",
-              ids[explain.chosen_index], slot.machine,
-              static_cast<double>(explain.task_candidates.size()),
-              model::format_task_select_explain(explain, slot.machine, ids));
-        }
-      } else {
-        pick = planner_->select_task(directory_,
-                                     {lists, slot.machine, sched_.locality});
+      // Tracing also captures the scored window, so the selection can be
+      // audited from the trace (the SimEngine "sched.place" counterpart).
+      const bool tracing = tracer_.enabled();
+      PlacementExplain explain;
+      std::size_t pick =
+          pick_task_for_machine(directory_, lists, slot.machine,
+                                sched_.locality, tracing ? &explain : nullptr);
+      if (tracing && pick != SIZE_MAX) {
+        std::vector<std::uint64_t> ids;
+        ids.reserve(index_of.size());
+        for (std::size_t idx : index_of) ids.push_back(ready_[idx]->id());
+        tracer_.instant_at(
+            wall_now(), obs::Subsystem::kSched, "sched.place",
+            ids[explain.chosen_index], slot.machine,
+            static_cast<double>(explain.task_candidates.size()),
+            format_task_select_explain(explain, slot.machine, ids));
       }
       if (pick == SIZE_MAX) pick = 0;
       TaskNode* task = ready_[static_cast<std::ptrdiff_t>(index_of[pick])];
@@ -1128,30 +1121,29 @@ void ClusterEngine::handle_worker_death_locked(int s) {
     }
   }
   coherence_->forget_machine(w);
+  directory_.forget_last_seen(w);
   for (auto it = shipped_.begin(); it != shipped_.end();)
     it = it->first.machine == w ? shipped_.erase(it) : std::next(it);
 
   // A pre-forked spare takes over the machine id.
-  if (options_.restart_workers) {
-    for (WorkerSlot& spare : slots_) {
-      if (spare.machine != -1 || spare.dead || spare.eof || !spare.channel ||
-          spare.channel->closed())
-        continue;
-      spare.machine = w;
-      ActivateMsg act;
-      act.machine = w;
-      act.machines = options_.workers;
-      act.heartbeat_interval = options_.heartbeat_interval;
-      spare.channel->queue(FrameType::kActivate, pack(act));
-      spare.channel->flush();
-      transport_.set_channel(w, spare.channel.get());
-      detector_->heartbeat_received(w + 1, wall_now());
-      ++workers_respawned_;
-      if (tracer_.enabled())
-        tracer_.instant_at(wall_now(), obs::Subsystem::kFt, "worker.respawn",
-                           static_cast<std::uint64_t>(spare.pid), w);
-      break;
-    }
+  for (WorkerSlot& spare : slots_) {
+    if (spare.machine != -1 || spare.dead || spare.eof || !spare.channel ||
+        spare.channel->closed())
+      continue;
+    spare.machine = w;
+    ActivateMsg act;
+    act.machine = w;
+    act.machines = options_.workers;
+    act.heartbeat_interval = options_.heartbeat_interval;
+    spare.channel->queue(FrameType::kActivate, pack(act));
+    spare.channel->flush();
+    transport_.set_channel(w, spare.channel.get());
+    detector_->heartbeat_received(w + 1, wall_now());
+    ++workers_respawned_;
+    if (tracer_.enabled())
+      tracer_.instant_at(wall_now(), obs::Subsystem::kFt, "worker.respawn",
+                         static_cast<std::uint64_t>(spare.pid), w);
+    break;
   }
 
   if (!any_up && slot_of_machine(w) < 0 && !aborting_ &&

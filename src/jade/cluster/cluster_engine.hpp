@@ -45,7 +45,6 @@
 #include "jade/cluster/socket_transport.hpp"
 #include "jade/engine/engine.hpp"
 #include "jade/ft/failure_detector.hpp"
-#include "jade/model/planner.hpp"
 #include "jade/sched/governor.hpp"
 #include "jade/sched/policies.hpp"
 #include "jade/store/coherence.hpp"
@@ -58,9 +57,7 @@ class ClusterEngine : public Engine,
                       private SerializerListener {
  public:
   explicit ClusterEngine(Options options, SchedPolicy sched = {},
-                         bool enforce_hierarchy = true,
-                         std::shared_ptr<const model::Planner> planner =
-                             nullptr);
+                         bool enforce_hierarchy = true);
   ~ClusterEngine() override;
 
   ClusterEngine(const ClusterEngine&) = delete;
@@ -218,9 +215,6 @@ class ClusterEngine : public Engine,
   // --- configuration & construction-time services --------------------------
   Options options_;
   SchedPolicy sched_;
-  /// Task-for-machine selection routes through the policy seam
-  /// (docs/MODEL.md); defaults to the shared HeuristicPlanner.
-  std::shared_ptr<const model::Planner> planner_;
   Serializer serializer_;
   ObjectTable objects_;
   ObjectDirectory directory_;

@@ -21,9 +21,6 @@ struct Options {
   SimTime heartbeat_interval = 0.025;
   /// Heartbeat intervals a worker may miss before the detector suspects it.
   int miss_threshold = 4;
-  /// Replace a dead worker with a spare (when one is available).  Off, the
-  /// dead machine id stays dark and its tasks re-run elsewhere.
-  bool restart_workers = true;
 };
 
 }  // namespace jade::cluster

@@ -11,28 +11,21 @@ namespace jade {
 
 namespace {
 std::unique_ptr<Engine> make_engine(const RuntimeConfig& config) {
-  // The policy seam (docs/MODEL.md): the planner first resolves the
-  // effective SchedPolicy for this (platform, base-knobs) pair — the default
-  // HeuristicPlanner is the identity — then the engine consults the same
-  // planner for every placement decision during the run.
-  std::shared_ptr<const model::Planner> planner =
-      config.planner != nullptr ? config.planner : model::default_planner();
-  const SchedPolicy sched = planner->plan_policy(config.cluster, config.sched);
   switch (config.engine) {
     case EngineKind::kSerial:
       return std::make_unique<SerialEngine>(config.enforce_hierarchy);
     case EngineKind::kThread:
-      return std::make_unique<ThreadEngine>(config.threads, sched.throttle,
-                                            config.enforce_hierarchy,
-                                            sched.spec, planner);
+      return std::make_unique<ThreadEngine>(
+          config.threads, config.sched.throttle, config.enforce_hierarchy,
+          config.sched.spec);
     case EngineKind::kSim:
       config.cluster.validate();
-      return std::make_unique<SimEngine>(config.cluster, sched,
+      return std::make_unique<SimEngine>(config.cluster, config.sched,
                                          config.enforce_hierarchy,
-                                         config.fault, planner);
+                                         config.fault);
     case EngineKind::kCluster:
       return std::make_unique<cluster::ClusterEngine>(
-          config.cluster_proc, sched, config.enforce_hierarchy, planner);
+          config.cluster_proc, config.sched, config.enforce_hierarchy);
   }
   throw ConfigError("unknown EngineKind");
 }

@@ -33,7 +33,6 @@
 #include "jade/engine/engine.hpp"
 #include "jade/ft/fault_plan.hpp"
 #include "jade/mach/machine.hpp"
-#include "jade/model/planner.hpp"
 #include "jade/sched/policies.hpp"
 
 namespace jade {
@@ -60,16 +59,9 @@ struct RuntimeConfig {
   cluster::Options cluster_proc;
 
   /// Scheduling policy (SimEngine; ThreadEngine uses throttle and spec;
-  /// ClusterEngine uses throttle, comm and locality).
+  /// ClusterEngine uses throttle and locality).  model::tune_policy picks
+  /// one from a fitted CostModel (docs/MODEL.md).
   SchedPolicy sched;
-
-  /// Policy/placement decision seam (docs/MODEL.md).  Before the engine is
-  /// built, `planner->plan_policy(cluster, sched)` resolves the effective
-  /// SchedPolicy (the default HeuristicPlanner passes `sched` through
-  /// untouched); during the run the engine consults the planner for every
-  /// placement decision.  Null selects the shared HeuristicPlanner —
-  /// byte-identical to the legacy hard-wired heuristics.
-  std::shared_ptr<const model::Planner> planner;
 
   /// Reject child tasks whose accesses the parent did not declare
   /// (Section 4.4).  Disable only in benchmarks measuring check overhead.

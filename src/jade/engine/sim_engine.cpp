@@ -126,23 +126,19 @@ void SimEngine::try_dispatch() {
         m = free[static_cast<std::size_t>(task->placement)] > 0
                 ? task->placement
                 : -1;
-      } else if (tracer_.enabled()) {
-        // Tracing: also capture why — every candidate machine with its
+      } else {
+        // Tracing also captures why — every candidate machine with its
         // locality score, so a placement can be audited from the trace.
+        const bool tracing = tracer_.enabled();
         PlacementExplain explain;
-        m = planner_->place_task(
-            directory_,
-            {st(task).objects, free, locality, st(task).creator_machine},
-            &explain);
-        if (m >= 0) {
+        m = pick_machine_for_task(directory_, st(task).objects, free,
+                                  locality, st(task).creator_machine,
+                                  tracing ? &explain : nullptr);
+        if (tracing && m >= 0) {
           tracer_.instant(obs::Subsystem::kSched, "sched.place", task->id(),
                           m, static_cast<double>(explain.candidates.size()),
-                          model::format_placement_explain(explain));
+                          format_placement_explain(explain));
         }
-      } else {
-        m = planner_->place_task(
-            directory_,
-            {st(task).objects, free, locality, st(task).creator_machine});
       }
       if (m < 0) continue;
       ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -203,8 +199,7 @@ void SimEngine::task_process(TaskNode* task) {
       if (rec->immediate != 0) {
         items.push_back(
             {rec->obj, (rec->immediate & kExclusiveBits) != 0, true});
-      } else if (sched_.comm.prefetch_deferred &&
-                 (rec->deferred & access::kRead) &&
+      } else if ((rec->deferred & access::kRead) &&
                  (rec->deferred & kExclusiveBits) == 0) {
         items.push_back({rec->obj, false, false});
       }
@@ -713,8 +708,8 @@ void SimEngine::try_spec_dispatch() {
         spec_gov_.pick(serializer_, &contested, [&](TaskNode* cand) {
           const SimTask& t = st(cand);
           if (ft_enabled() && fault_risk(t)) return false;
-          m = planner_->place_task(
-              directory_, {t.objects, free, locality, t.creator_machine});
+          m = pick_machine_for_task(directory_, t.objects, free, locality,
+                                    t.creator_machine);
           return m >= 0;
         });
     if (task == nullptr) return;

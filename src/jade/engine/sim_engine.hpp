@@ -41,7 +41,6 @@
 #include "jade/engine/engine.hpp"
 #include "jade/ft/recovery_coordinator.hpp"
 #include "jade/mach/machine.hpp"
-#include "jade/model/planner.hpp"
 #include "jade/net/network.hpp"
 #include "jade/obs/timeline_view.hpp"
 #include "jade/sched/governor.hpp"
@@ -57,8 +56,7 @@ class FaultyNetwork;
 class SimEngine : public Engine, private SerializerListener {
  public:
   SimEngine(ClusterConfig cluster, SchedPolicy sched, bool enforce_hierarchy,
-            FaultConfig fault = {},
-            std::shared_ptr<const model::Planner> planner = nullptr);
+            FaultConfig fault = {});
   ~SimEngine() override;
 
   ObjectId allocate(TypeDescriptor type, std::string name,
@@ -247,9 +245,6 @@ class SimEngine : public Engine, private SerializerListener {
 
   ClusterConfig cluster_;
   SchedPolicy sched_;
-  /// Placement decisions route through the policy seam (docs/MODEL.md);
-  /// defaults to the shared HeuristicPlanner — legacy behavior to the byte.
-  std::shared_ptr<const model::Planner> planner_;
   std::unique_ptr<NetworkModel> network_;
   ObjectTable objects_;
   ObjectDirectory directory_;

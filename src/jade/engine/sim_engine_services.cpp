@@ -96,12 +96,9 @@ struct SimEngine::FtHooks final : RecoveryHooks {
 // --- construction -----------------------------------------------------------
 
 SimEngine::SimEngine(ClusterConfig cluster, SchedPolicy sched,
-                     bool enforce_hierarchy, FaultConfig fault,
-                     std::shared_ptr<const model::Planner> planner)
+                     bool enforce_hierarchy, FaultConfig fault)
     : cluster_(std::move(cluster)),
       sched_(sched),
-      planner_(planner != nullptr ? std::move(planner)
-                                  : model::default_planner()),
       network_(cluster_.make_network()),
       directory_(cluster_.machine_count()),
       serializer_(this, enforce_hierarchy),
@@ -112,9 +109,6 @@ SimEngine::SimEngine(ClusterConfig cluster, SchedPolicy sched,
     throw ConfigError("contexts_per_machine must be >= 1");
   serializer_.set_tenant_oracle(
       [this](ObjectId obj) { return objects_.info(obj).tenant; });
-  // With replica reuse on, a dropped-but-current replica is as good as a
-  // present one for the locality heuristics.
-  directory_.set_reuse_scoring(sched_.comm.reuse_replicas);
   machines_.reserve(cluster_.machines.size());
   for (const MachineDesc& desc : cluster_.machines) {
     Machine m;
@@ -129,7 +123,6 @@ SimEngine::SimEngine(ClusterConfig cluster, SchedPolicy sched,
   endians.reserve(machines_.size());
   for (const Machine& m : machines_) endians.push_back(m.desc.endian);
   CoherenceConfig ccfg;
-  ccfg.comm = sched_.comm;
   ccfg.control_message_bytes = cluster_.control_message_bytes;
   ccfg.conversion_seconds_per_scalar = cluster_.conversion_seconds_per_scalar;
   coherence_ = std::make_unique<CoherenceProtocol>(

@@ -42,11 +42,8 @@ ThreadEngine::TlsBinding::~TlsBinding() {
 }
 
 ThreadEngine::ThreadEngine(int workers, ThrottleConfig throttle,
-                           bool enforce_hierarchy, SpecConfig spec,
-                           std::shared_ptr<const model::Planner> planner)
+                           bool enforce_hierarchy, SpecConfig spec)
     : workers_requested_(workers),
-      planner_(planner != nullptr ? std::move(planner)
-                                  : model::default_planner()),
       throttle_(throttle),
       serializer_(this, enforce_hierarchy),
       spec_gov_(spec) {
@@ -485,7 +482,7 @@ void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
   task->assigned_machine = slot->machine;
   if (tracer_.enabled()) {
     // Work stealing has no directory to score: the "placement" is which
-    // worker claimed the task.  The planner still produces the structured
+    // worker claimed the task.  explain_claim still produces the structured
     // explanation — candidates are the live worker slots with their queue
     // depths — so every engine's sched.place event has one shape.
     const int live = slot_count_.load(std::memory_order_acquire);
@@ -495,11 +492,11 @@ void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
           static_cast<int>(slots_[static_cast<std::size_t>(s)]
                                ->deque.size_estimate());
     PlacementExplain explain;
-    planner_->explain_claim(depths, slot->machine, &explain);
+    explain_claim(depths, slot->machine, &explain);
     tracer_.instant(obs::Subsystem::kSched, "sched.place", task->id(),
                     slot->machine,
                     static_cast<double>(explain.candidates.size()),
-                    model::format_placement_explain(explain));
+                    format_placement_explain(explain));
     tracer_.instant(obs::Subsystem::kEngine, "task.dispatched", task->id(),
                     slot->machine);
     tracer_.span_begin(obs::Subsystem::kEngine, "task", task->id(),

@@ -39,7 +39,6 @@
 
 #include "jade/engine/buffer_table.hpp"
 #include "jade/engine/engine.hpp"
-#include "jade/model/planner.hpp"
 #include "jade/sched/governor.hpp"
 #include "jade/sched/policies.hpp"
 #include "jade/support/parker.hpp"
@@ -50,8 +49,7 @@ namespace jade {
 class ThreadEngine : public Engine, private SerializerListener {
  public:
   ThreadEngine(int workers, ThrottleConfig throttle, bool enforce_hierarchy,
-               SpecConfig spec = {},
-               std::shared_ptr<const model::Planner> planner = nullptr);
+               SpecConfig spec = {});
   ~ThreadEngine() override;
 
   ObjectId allocate(TypeDescriptor type, std::string name,
@@ -233,11 +231,6 @@ class ThreadEngine : public Engine, private SerializerListener {
   static thread_local SpecAttempt* tls_spec_;
 
   const int workers_requested_;
-  /// Policy seam (docs/MODEL.md): work stealing places tasks implicitly
-  /// (the claiming worker is the placement), so the planner's role here is
-  /// the policy knobs it planned up front plus the structured claim
-  /// explanation emitted into traces.  Default: the shared HeuristicPlanner.
-  std::shared_ptr<const model::Planner> planner_;
   /// Water-mark predicates + suspension/give-up counters (shared
   /// implementation with SimEngine); counters fold into stats_ at the end
   /// of run().  Mutated only under mu_.

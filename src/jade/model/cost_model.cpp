@@ -171,4 +171,48 @@ double CostModel::predict(const WorkloadFeatures& f,
   return std::max(t, 0.0);
 }
 
+std::vector<SchedPolicy> candidate_policies(const SchedPolicy& base) {
+  std::vector<SchedPolicy> out;
+  out.push_back(base);  // candidate 0: the hand-set knobs, untouched
+  for (const int contexts : {1, 2, 4}) {
+    for (const bool locality : {true, false}) {
+      for (const bool spec : {false, true}) {
+        SchedPolicy p = base;
+        p.contexts_per_machine = contexts;
+        p.locality = locality;
+        p.spec.enabled = spec;
+        if (p.contexts_per_machine == base.contexts_per_machine &&
+            p.locality == base.locality &&
+            p.spec.enabled == base.spec.enabled)
+          continue;  // identical to candidate 0
+        out.push_back(p);
+      }
+    }
+  }
+  return out;
+}
+
+SchedPolicy tune_policy(const CostModel& model,
+                        const WorkloadFeatures& features,
+                        const ClusterConfig& cluster, const SchedPolicy& base) {
+  if (!model.fitted() || !features.valid) return base;
+
+  const std::vector<SchedPolicy> candidates = candidate_policies(base);
+  const double base_pred = model.predict(features, cluster, base);
+  SchedPolicy best = base;
+  double best_pred = base_pred;
+  for (std::size_t i = 1; i < candidates.size(); ++i) {
+    const double pred = model.predict(features, cluster, candidates[i]);
+    // Strict < keeps the earliest (most base-like) winner on exact ties.
+    if (pred < best_pred) {
+      best_pred = pred;
+      best = candidates[i];
+    }
+  }
+  // Within the margin the prediction error could swamp the gain: keep the
+  // hand-set policy (the tuner then *matches* the default by construction).
+  if (best_pred >= (1.0 - kTuneMargin) * base_pred) return base;
+  return best;
+}
+
 }  // namespace jade::model

@@ -80,4 +80,29 @@ class CostModel {
   bool fitted_ = false;
 };
 
+// --- policy auto-tuning ------------------------------------------------------
+// tune_policy enumerates a deterministic candidate grid (task contexts,
+// locality scoring, speculation) around the caller's base SchedPolicy,
+// predicts each candidate's completion time on the target platform with the
+// fitted model, and returns the winner — but only when the predicted gain
+// clears kTuneMargin; within the margin the hand-set base policy passes
+// through untouched, so the tuner never loses to the defaults by trusting a
+// borderline prediction.  Per-task placement stays with the locality
+// heuristics (sched/policies.hpp): the model works at whole-run granularity,
+// where its features live.
+
+/// The fractional predicted improvement a candidate must clear to replace
+/// the base policy.
+inline constexpr double kTuneMargin = 0.10;
+
+/// The candidate grid tune_policy scores, in its deterministic search order
+/// (the base policy is always candidate 0).
+std::vector<SchedPolicy> candidate_policies(const SchedPolicy& base);
+
+/// The policy to run `cluster` with.  `model` must be fitted and `features`
+/// valid — otherwise `base` passes through (the identity).
+SchedPolicy tune_policy(const CostModel& model,
+                        const WorkloadFeatures& features,
+                        const ClusterConfig& cluster, const SchedPolicy& base);
+
 }  // namespace jade::model

@@ -253,7 +253,7 @@ class SpeculationGovernor {
   }
   bool has_candidates() const { return !candidates_.empty(); }
 
-  /// Scans the oldest `window` live candidates in creation order, dropping
+  /// Scans the oldest kWindow live candidates in creation order, dropping
   /// stale entries and denying (for good) those whose contested objects
   /// keep conflicting.  Returns the first eligible candidate `accept(task)`
   /// takes — removed from the list, its contested objects in `contested` —
@@ -264,7 +264,7 @@ class SpeculationGovernor {
                  Accept&& accept) {
     std::size_t i = 0;
     std::size_t examined = 0;
-    while (i < candidates_.size() && examined < config_.window) {
+    while (i < candidates_.size() && examined < kWindow) {
       TaskNode* task = candidates_[i];
       const auto at = candidates_.begin() + static_cast<std::ptrdiff_t>(i);
       if (task->state() != TaskState::kPending || task->speculating()) {
@@ -374,6 +374,9 @@ class SpeculationGovernor {
 
  private:
   bool any_throttled(const std::vector<ObjectId>& objs) const;
+
+  /// How far down the pending backlog the candidate scan looks.
+  static constexpr std::size_t kWindow = 32;
 
   SpecConfig config_;
   int live_ = 0;

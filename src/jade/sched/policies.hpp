@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "jade/core/object.hpp"
@@ -32,30 +33,6 @@ struct ThrottleConfig {
   std::uint64_t low_water = 256;
 };
 
-/// Communication-protocol optimizations (SimEngine data-movement path).
-/// Each flag gates one payload- or message-saving mechanism; all default on.
-/// bench_comm_protocol measures the all-off ("legacy") protocol against the
-/// defaults.  Every mechanism preserves serial semantics and determinism.
-struct CommConfig {
-  /// Concurrent readers of the same remote object share one payload
-  /// transfer, and a task's multi-object fetch travels as one batched
-  /// request per owner machine.
-  bool combine_requests = true;
-  /// A machine whose dropped replica still matches the object's data
-  /// version revalidates it with a control round-trip instead of re-paying
-  /// the payload transfer.
-  bool reuse_replicas = true;
-  /// A writer invalidating n>1 replica holders sends one multicast control
-  /// message instead of n unicasts.
-  bool coalesce_invalidations = true;
-  /// Cache the byte-swapped representation per (object, data version) so
-  /// repeated cross-endian transfers of clean data convert once.
-  bool cache_conversions = true;
-  /// Issue transfers for deferred read declarations at dispatch, so the
-  /// payload is resident (or in flight) before the task's first with_cont.
-  bool prefetch_deferred = true;
-};
-
 /// Speculative task execution (Specx-style run-ahead with deterministic
 /// rollback).  When workers sit idle and a pending task's only unresolved
 /// predecessors hold *write* declarations that have not yet touched the
@@ -73,8 +50,6 @@ struct SpecConfig {
   /// Per-object conflict-history throttle: after this many aborted
   /// speculations contested on an object, stop speculating past it.
   int conflict_limit = 2;
-  /// How far down the pending backlog the candidate scan looks.
-  std::size_t window = 32;
 };
 
 struct SchedPolicy {
@@ -86,7 +61,6 @@ struct SchedPolicy {
   /// Record a per-task TaskTimeline (SimEngine; see obs/timeline_view.hpp).
   bool record_timeline = false;
   ThrottleConfig throttle;
-  CommConfig comm;
   SpecConfig spec;
 };
 
@@ -141,6 +115,26 @@ std::size_t pick_task_for_machine(
     const ObjectDirectory& dir,
     std::span<const std::vector<ObjectId>> object_lists, MachineId machine,
     bool locality, PlacementExplain* explain = nullptr);
+
+/// Explains a work-stealing claim (ThreadEngine): there is no directory to
+/// score, so the candidates are the live worker slots with their queue
+/// depths and `chosen` is the claiming worker.  Only called when tracing.
+void explain_claim(std::span<const int> queue_depths, MachineId chosen,
+                   PlacementExplain* explain);
+
+/// Renders a machine-for-task explain in the exact layout of the
+/// "sched.place" events SimEngine and ThreadEngine emit:
+///   "chosen=N m0:bytes=B,free=F m1:bytes=B,free=F ..."
+/// (trace byte-compatibility depends on this format; see
+/// obs_trace_determinism_test).
+std::string format_placement_explain(const PlacementExplain& explain);
+
+/// Renders a task-for-machine explain ("sched.place" on ClusterEngine):
+///   "chosen=T wM t<id>:bytes=B t<id>:bytes=B ..."
+/// `task_ids[i]` is the task id of window candidate i.
+std::string format_task_select_explain(
+    const PlacementExplain& explain, MachineId machine,
+    std::span<const std::uint64_t> task_ids);
 
 /// Home re-election after a crash: the lowest-indexed surviving machine that
 /// already holds a copy of `obj` (its replica becomes the authoritative

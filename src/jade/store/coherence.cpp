@@ -107,21 +107,18 @@ SimTime CoherenceProtocol::conversion_cost(ObjectId obj, MachineId src,
   const Endian se = endians_[static_cast<std::size_t>(src)];
   const Endian de = endians_[static_cast<std::size_t>(dst)];
   if (se == de || info.type.order_invariant()) return 0;
-  if (config_.comm.cache_conversions) {
-    auto it = converted_cache_.find(obj);
-    if (it != converted_cache_.end() &&
-        it->second == directory_.data_version(obj)) {
-      ++stats_.conversions_cached;
-      return 0;
-    }
+  auto it = converted_cache_.find(obj);
+  if (it != converted_cache_.end() &&
+      it->second == directory_.data_version(obj)) {
+    ++stats_.conversions_cached;
+    return 0;
   }
   std::span<std::byte> data{directory_.data(obj), info.byte_size()};
   const std::size_t n = convert_representation(data, info.type,
                                                Endian::kLittle, Endian::kBig);
   convert_representation(data, info.type, Endian::kBig, Endian::kLittle);
   stats_.scalars_converted += n;
-  if (config_.comm.cache_conversions)
-    converted_cache_[obj] = directory_.data_version(obj);
+  converted_cache_[obj] = directory_.data_version(obj);
   return static_cast<SimTime>(n) * config_.conversion_seconds_per_scalar;
 }
 
@@ -133,7 +130,7 @@ void CoherenceProtocol::send_invalidations(ObjectId obj, MachineId from,
   // is still active on any target.
   if (targets.empty()) return;
   stats_.invalidations += targets.size();
-  if (config_.comm.coalesce_invalidations && targets.size() > 1) {
+  if (targets.size() > 1) {
     const std::size_t bytes = invalidate_message_size(
         obj, from, targets, config_.control_message_bytes);
     transport_.multicast(from, targets, bytes, now);
@@ -146,14 +143,12 @@ void CoherenceProtocol::send_invalidations(ObjectId obj, MachineId from,
                                     config_.control_message_bytes);
     if (naive > bytes) stats_.bytes_avoided += naive - bytes;
   } else {
-    for (MachineId h : targets) {
-      const std::size_t bytes =
-          control_message_size(MsgKind::kInvalidate, obj, from, h, 0,
-                               config_.control_message_bytes);
-      transport_.unicast(from, h, bytes, now);
-      ++stats_.messages;
-      stats_.bytes_sent += bytes;
-    }
+    const std::size_t bytes =
+        control_message_size(MsgKind::kInvalidate, obj, from, targets.front(),
+                             0, config_.control_message_bytes);
+    transport_.unicast(from, targets.front(), bytes, now);
+    ++stats_.messages;
+    stats_.bytes_sent += bytes;
   }
 }
 
@@ -206,7 +201,7 @@ SimTime CoherenceProtocol::transfer(ObjectId obj, MachineId to,
       if (avail > now) ++stats_.requests_combined;
       return std::max(now, avail);
     }
-    if (config_.comm.reuse_replicas && directory_.reusable(obj, to)) {
+    if (directory_.reusable(obj, to)) {
       // Revalidation: the dropped replica still matches the current data
       // version, so a control round-trip re-admits it — no payload.
       const SimTime req_arr = transport_.unicast(to, from, request_bytes, now);
@@ -254,8 +249,7 @@ SimTime CoherenceProtocol::transfer(ObjectId obj, MachineId to,
   // is deallocated (Figure 7(c)).
   SimTime avail = std::max(now, available_at(obj, to));
   if (from != to) {
-    if (config_.comm.reuse_replicas &&
-        (directory_.present(obj, to) || directory_.reusable(obj, to))) {
+    if (directory_.present(obj, to) || directory_.reusable(obj, to)) {
       // Upgrade in place: the destination already holds (or can revalidate)
       // the current bytes, so only ownership travels — request and grant,
       // no payload move.
@@ -310,14 +304,6 @@ SimTime CoherenceProtocol::fetch(MachineId to, std::vector<FetchItem> items) {
   SimTime ready = transport_.now();
   if (items.empty()) return ready;
 
-  if (!config_.comm.combine_requests) {
-    for (const FetchItem& item : items) {
-      const SimTime at = transfer(item.obj, to, item.exclusive);
-      if (item.blocking) ready = std::max(ready, at);
-    }
-    return ready;
-  }
-
   // Group the items that need a round-trip to a remote owner; everything
   // else (already present for a read, or owned here) resolves locally.
   // std::map keys the batches in machine order — deterministic.
@@ -363,10 +349,8 @@ SimTime CoherenceProtocol::fetch_batch(MachineId to, MachineId from,
   for (const FetchItem& item : batch) {
     const ObjectInfo& info = objects_.info(item.obj);
     objs.push_back(item.obj);
-    const bool r =
-        config_.comm.reuse_replicas &&
-        (directory_.reusable(item.obj, to) ||
-         (item.exclusive && directory_.present(item.obj, to)));
+    const bool r = directory_.reusable(item.obj, to) ||
+                   (item.exclusive && directory_.present(item.obj, to));
     reuse.push_back(r);
     if (!r) total_payload += info.byte_size();
     // What the per-object protocol would have spent on control traffic.

@@ -25,7 +25,6 @@
 #include "jade/core/object.hpp"
 #include "jade/core/stats.hpp"
 #include "jade/obs/tracer.hpp"
-#include "jade/sched/policies.hpp"
 #include "jade/store/directory.hpp"
 #include "jade/support/time.hpp"
 #include "jade/types/type_desc.hpp"
@@ -85,7 +84,6 @@ class CoherenceTransport {
 };
 
 struct CoherenceConfig {
-  CommConfig comm;
   /// Transport framing minimum for control messages (wire floor).
   std::size_t control_message_bytes = 64;
   /// Cost of one scalar's cross-endian format conversion.
@@ -110,9 +108,9 @@ class CoherenceProtocol {
   SimTime transfer(ObjectId obj, MachineId to, bool exclusive);
 
   /// Fetches a whole set of objects to machine `to`, combining items owned
-  /// by the same remote machine into one batched request/reply when
-  /// comm.combine_requests is on.  Returns when the last *blocking* item is
-  /// available (prefetch hints ride along without gating task start).
+  /// by the same remote machine into one batched request/reply.  Returns
+  /// when the last *blocking* item is available (prefetch hints ride along
+  /// without gating task start).
   SimTime fetch(MachineId to, std::vector<FetchItem> items);
 
   /// Exclusive acquire of `obj` by a task running on `writer`: drops
@@ -139,8 +137,7 @@ class CoherenceProtocol {
                       const std::vector<FetchItem>& batch);
 
   /// Invalidation fan-out for `obj`: one multicast control message when
-  /// comm.coalesce_invalidations is on and there is more than one target,
-  /// per-target unicasts otherwise.
+  /// there is more than one target, a unicast for a single target.
   void send_invalidations(ObjectId obj, MachineId from,
                           const std::vector<MachineId>& targets, SimTime now);
 

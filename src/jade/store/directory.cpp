@@ -8,6 +8,16 @@
 
 namespace jade {
 
+namespace {
+/// Position of machine `m` in a sorted (machine, version) last-seen set.
+template <class LastSeen>
+auto seek_last_seen(LastSeen& last_seen, MachineId m) {
+  return std::lower_bound(
+      last_seen.begin(), last_seen.end(), m,
+      [](const auto& rec, MachineId key) { return rec.first < key; });
+}
+}  // namespace
+
 ObjectDirectory::ObjectDirectory(int machines) {
   if (machines < 1 || machines > kMaxMachines)
     throw ConfigError("directory supports 1.." + std::to_string(kMaxMachines) +
@@ -103,17 +113,13 @@ void ObjectDirectory::set_data_version(ObjectId obj, std::uint64_t v) {
 }
 
 std::uint64_t ObjectDirectory::last_seen_of(const Entry& e, MachineId m) {
-  auto it = std::lower_bound(
-      e.last_seen.begin(), e.last_seen.end(), m,
-      [](const auto& rec, MachineId key) { return rec.first < key; });
+  auto it = seek_last_seen(e.last_seen, m);
   if (it == e.last_seen.end() || it->first != m) return kNeverSeen;
   return it->second;
 }
 
 void ObjectDirectory::note_drop(Entry& e, MachineId m) {
-  auto it = std::lower_bound(
-      e.last_seen.begin(), e.last_seen.end(), m,
-      [](const auto& rec, MachineId key) { return rec.first < key; });
+  auto it = seek_last_seen(e.last_seen, m);
   if (it != e.last_seen.end() && it->first == m)
     it->second = e.data_version;
   else
@@ -200,7 +206,7 @@ std::size_t ObjectDirectory::bytes_scoreable(std::span<const ObjectId> objs,
                                              MachineId m) const {
   std::size_t sum = 0;
   for (ObjectId obj : objs)
-    if (present(obj, m) || (reuse_scoring_ && reusable(obj, m)))
+    if (present(obj, m) || reusable(obj, m))
       sum += object_bytes(obj);
   return sum;
 }
@@ -222,6 +228,13 @@ void ObjectDirectory::drop_copy(ObjectId obj, MachineId m) {
   note_drop(e, m);
   e.copies.clear(m);
   store(m).evict(obj, e.bytes);
+}
+
+void ObjectDirectory::forget_last_seen(MachineId m) {
+  for (Entry& e : entries_) {
+    auto it = seek_last_seen(e.last_seen, m);
+    if (it != e.last_seen.end() && it->first == m) e.last_seen.erase(it);
+  }
 }
 
 void ObjectDirectory::set_owner(ObjectId obj, MachineId m) {

@@ -110,17 +110,12 @@ class ObjectDirectory {
   /// locality heuristic's score (Section 5, "Enhancing Locality").
   std::size_t bytes_present(std::span<const ObjectId> objs, MachineId m) const;
 
-  /// Locality score for the scheduler: bytes present, plus — when reuse
-  /// scoring is on — bytes whose stale replica on `m` is still reusable (a
-  /// revalidation costs a control round-trip, far below the payload, so such
-  /// machines are nearly as good as holders).
+  /// Locality score for the scheduler: bytes present, plus bytes whose
+  /// stale replica on `m` is still reusable (a revalidation costs a control
+  /// round-trip, far below the payload, so such machines are nearly as good
+  /// as holders).
   std::size_t bytes_scoreable(std::span<const ObjectId> objs,
                               MachineId m) const;
-
-  /// Enables reusable-replica credit in bytes_scoreable (the engine sets
-  /// this from SchedPolicy::comm.reuse_replicas; default off keeps the score
-  /// identical to bytes_present).
-  void set_reuse_scoring(bool on) { reuse_scoring_ = on; }
 
   // --- Crash recovery surgery (ft/) ------------------------------------
   // These mutate directory metadata without modeling a transfer; the
@@ -134,6 +129,11 @@ class ObjectDirectory {
   /// be dropped when it is the sole copy (the step before restore_to or
   /// mark_lost); with replicas alive, re-home with set_owner first.
   void drop_copy(ObjectId obj, MachineId m);
+
+  /// Forgets the data versions `m` last saw, for every object: the process
+  /// behind `m` died, so none of its dropped replicas can revalidate (a
+  /// replacement process taking over the id starts empty).
+  void forget_last_seen(MachineId m);
 
   /// Home re-election: `m` must already hold a replica; it becomes the
   /// owner without any copy moving (version bumps — ownership changed).
@@ -182,7 +182,6 @@ class ObjectDirectory {
   std::vector<Entry> entries_;  ///< indexed by ObjectId - 1
   obs::Tracer* tracer_ = nullptr;
   std::function<SimTime()> clock_;
-  bool reuse_scoring_ = false;
 };
 
 }  // namespace jade

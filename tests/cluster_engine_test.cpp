@@ -6,8 +6,9 @@
 // processes with serial-identical results; worker-spawned children;
 // with-cont conversion and retire; commute serialization; placement;
 // error propagation across the process boundary; engine reuse with host
-// writes between runs; the debug coherence probe; and recovery from a
-// SIGKILLed worker via the heartbeat failure detector.
+// writes between runs; the debug coherence probe; recovery from a
+// SIGKILLed worker via the heartbeat failure detector; and a respawned
+// worker starting with no reusable replicas.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -438,6 +439,45 @@ TEST(ClusterEngine, SurvivesSigkilledWorker) {
                    [&](AccessDecl& d) { d.wr(out[0]); });
   });
   EXPECT_DOUBLE_EQ(rt.get(out[0])[0], -1.0);
+}
+
+TEST(ClusterEngine, RespawnedWorkerRevalidatesNothing) {
+  // Four writers pinned to machine 2 leave their objects' only copies
+  // there.  SIGKILL that worker between runs: the spare that takes over
+  // machine id 2 starts empty, so the second run must ship every payload
+  // rather than "revalidate" replicas that died with the old process.
+  Runtime rt(cluster_config(3, /*spares=*/1));
+  constexpr int kTasks = 4;
+  std::vector<SharedRef<double>> objs;
+  for (int k = 0; k < kTasks; ++k)
+    objs.push_back(rt.alloc<double>(1024, "o" + std::to_string(k)));  // 8 KB
+  const auto program = [&](double base) {
+    return [&objs, base](TaskContext& ctx) {
+      for (int k = 0; k < kTasks; ++k) {
+        const auto o = objs[static_cast<std::size_t>(k)];
+        WireWriter args;
+        put_ref(args, o);
+        args.put_f64(base + k);
+        cluster::spawn(ctx, kSetVal, std::move(args),
+                       [&](AccessDecl& d) { d.wr(o); }, "pinned",
+                       /*placement=*/2);
+      }
+    };
+  };
+  rt.run(program(1.0));
+
+  const pid_t pid = cluster_of(rt).worker_pid(2);
+  ASSERT_GT(pid, 0);
+  ::kill(pid, SIGKILL);
+  rt.run(program(10.0));
+
+  for (int k = 0; k < kTasks; ++k)
+    EXPECT_DOUBLE_EQ(rt.get(objs[static_cast<std::size_t>(k)])[0], 10.0 + k);
+  EXPECT_GE(rt.metrics().counter("cluster.workers_respawned").value(), 1.0);
+  EXPECT_EQ(rt.metrics().counter("comm.replicas_reused").value(), 0.0);
+  EXPECT_EQ(rt.metrics().counter("comm.bytes_avoided").value(), 0.0);
+  EXPECT_GE(rt.metrics().counter("cluster.payload_bytes_shipped").value(),
+            kTasks * 1024.0 * sizeof(double));
 }
 
 TEST(ClusterEngine, BadOptionsRejected) {

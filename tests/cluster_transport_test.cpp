@@ -115,7 +115,7 @@ class ProtocolOverSockets : public LoopbackFixture {
     protocol_ = std::make_unique<CoherenceProtocol>(
         *transport_, *directory_, objects_,
         std::vector<Endian>(kMachines, Endian::kLittle),
-        CoherenceConfig{CommConfig{}, 64, 0.0}, stats_, nullptr);
+        CoherenceConfig{64, 0.0}, stats_, nullptr);
   }
 
   ObjectTable objects_;

@@ -191,21 +191,6 @@ TEST(Coherence, InvalidationFanOutCoalescesIntoOneMulticast) {
   EXPECT_TRUE(h.directory.sole_holder(obj, 1));
 }
 
-TEST(Coherence, InvalidationFanOutUnicastsWhenCoalescingOff) {
-  CoherenceConfig cfg;
-  cfg.comm.coalesce_invalidations = false;
-  Harness h(4, {}, cfg);
-  const ObjectId obj = h.add_object(32, /*home=*/0);
-  for (MachineId m = 1; m <= 3; ++m)
-    h.protocol->transfer(obj, m, /*exclusive=*/false);
-
-  const auto baseline = h.stats;
-  h.protocol->transfer(obj, 1, /*exclusive=*/true);
-  EXPECT_EQ(h.stats.invalidations, baseline.invalidations + 2);
-  EXPECT_EQ(h.stats.invalidations_coalesced, 0u);
-  for (const auto& c : h.transport.calls) EXPECT_FALSE(c.multicast);
-}
-
 TEST(Coherence, FetchBatchesPerOwnerIntoOneRoundTrip) {
   Harness h(2);
   const ObjectId a = h.add_object(64, /*home=*/1);
@@ -231,17 +216,6 @@ TEST(Coherence, FetchSplitsBatchesByOwner) {
   const ObjectId b = h.add_object(64, /*home=*/2);
   h.protocol->fetch(0, {{a, true, true}, {b, true, true}});
   // Two owners, one request/reply pair each (no cross-owner combining).
-  EXPECT_EQ(h.stats.messages, 4u);
-  EXPECT_EQ(h.stats.requests_combined, 0u);
-}
-
-TEST(Coherence, FetchWithoutCombiningIssuesPerObjectTransfers) {
-  CoherenceConfig cfg;
-  cfg.comm.combine_requests = false;
-  Harness h(2, {}, cfg);
-  const ObjectId a = h.add_object(64, /*home=*/1);
-  const ObjectId b = h.add_object(64, /*home=*/1);
-  h.protocol->fetch(0, {{a, true, true}, {b, true, true}});
   EXPECT_EQ(h.stats.messages, 4u);
   EXPECT_EQ(h.stats.requests_combined, 0u);
 }

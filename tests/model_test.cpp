@@ -1,6 +1,6 @@
 // The model layer: CostModel fitting (deterministic, bit-identical),
 // TraceReader extraction and Chrome-trace round-tripping, the profiler's
-// feature measurement, and ModelPlanner's policy search.
+// feature measurement, and tune_policy's policy search.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,7 +11,6 @@
 #include "jade/core/runtime.hpp"
 #include "jade/mach/presets.hpp"
 #include "jade/model/cost_model.hpp"
-#include "jade/model/model_planner.hpp"
 #include "jade/model/profiler.hpp"
 #include "jade/model/trace_reader.hpp"
 #include "jade/support/error.hpp"
@@ -280,7 +279,7 @@ TEST(Profiler, ReprofilingIsDeterministic) {
   EXPECT_EQ(bits(a.spec_speedup), bits(b.spec_speedup));
 }
 
-// --- ModelPlanner ----------------------------------------------------------
+// --- ModelPlanner: tune_policy ---------------------------------------------
 
 bool same_policy(const SchedPolicy& a, const SchedPolicy& b) {
   return a.contexts_per_machine == b.contexts_per_machine &&
@@ -289,7 +288,7 @@ bool same_policy(const SchedPolicy& a, const SchedPolicy& b) {
 
 TEST(ModelPlanner, CandidateGridStartsAtBaseWithoutDuplicates) {
   SchedPolicy base;  // ctx=2, locality on, spec off — inside the grid
-  const auto cands = model::ModelPlanner::candidate_policies(base);
+  const auto cands = model::candidate_policies(base);
   ASSERT_FALSE(cands.empty());
   EXPECT_TRUE(same_policy(cands[0], base));
   // 3 context levels x 2 locality x 2 spec = 12 cells; the base occupies
@@ -302,20 +301,20 @@ TEST(ModelPlanner, CandidateGridStartsAtBaseWithoutDuplicates) {
 }
 
 TEST(ModelPlanner, UnfittedModelIsIdentity) {
-  model::ModelPlanner planner{CostModel{}, synthetic_features()};
   SchedPolicy base;
   base.contexts_per_machine = 1;
   base.locality = false;
-  const SchedPolicy planned = planner.plan_policy(presets::mica(8), base);
+  const SchedPolicy planned = model::tune_policy(
+      CostModel{}, synthetic_features(), presets::mica(8), base);
   EXPECT_TRUE(same_policy(planned, base));
 }
 
 TEST(ModelPlanner, InvalidFeaturesAreIdentity) {
   CostModel m;
   m.fit(synthetic_observations());
-  model::ModelPlanner planner{std::move(m), WorkloadFeatures{}};
   SchedPolicy base;
-  const SchedPolicy planned = planner.plan_policy(presets::mica(8), base);
+  const SchedPolicy planned =
+      model::tune_policy(m, WorkloadFeatures{}, presets::mica(8), base);
   EXPECT_TRUE(same_policy(planned, base));
 }
 
@@ -352,13 +351,12 @@ TEST(ModelPlanner, EnablesSpeculationWhenProfiledSpeedupDominates) {
   }
   CostModel m;
   m.fit(obs);
-  model::ModelPlanner planner{std::move(m), f};
 
   SchedPolicy base;  // spec off
-  const SchedPolicy planned = planner.plan_policy(presets::mica(8), base);
+  const SchedPolicy planned = model::tune_policy(m, f, presets::mica(8), base);
   EXPECT_TRUE(planned.spec.enabled);
-  EXPECT_LT(planner.predict(presets::mica(8), planned),
-            0.9 * planner.predict(presets::mica(8), base));
+  EXPECT_LT(m.predict(f, presets::mica(8), planned),
+            0.9 * m.predict(f, presets::mica(8), base));
 }
 
 TEST(ModelPlanner, RespectsSafetyMargin) {
@@ -369,9 +367,9 @@ TEST(ModelPlanner, RespectsSafetyMargin) {
   f.spec_speedup = 1.0;
   CostModel m;
   m.fit(synthetic_observations());
-  model::ModelPlanner planner{std::move(m), f};
   SchedPolicy base;
-  const SchedPolicy planned = planner.plan_policy(presets::ipsc860(8), base);
+  const SchedPolicy planned =
+      model::tune_policy(m, f, presets::ipsc860(8), base);
   EXPECT_TRUE(same_policy(planned, base));
 }
 

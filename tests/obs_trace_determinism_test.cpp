@@ -14,7 +14,6 @@
 #include "jade/core/runtime.hpp"
 #include "jade/engine/sim_engine.hpp"
 #include "jade/mach/presets.hpp"
-#include "jade/model/planner.hpp"
 #include "jade/obs/chrome_trace.hpp"
 #include "jade/obs/timeline_view.hpp"
 
@@ -88,41 +87,6 @@ TEST(TraceDeterminism, ByteIdenticalUnderSeededFaultInjection) {
   EXPECT_EQ(first, second);
   // The fault layer actually fired: its events are in the export.
   EXPECT_NE(first.find("\"cat\":\"ft\""), std::string::npos);
-}
-
-// --- The Planner seam (RuntimeConfig::planner) ------------------------------
-
-TEST(TraceDeterminism, PlannerSeamDefaultMatchesExplicitHeuristicByteForByte) {
-  // Routing every placement decision through the Planner interface must not
-  // perturb a single byte of the export: a null planner (the shared default)
-  // and an explicitly constructed HeuristicPlanner replay the same
-  // fault-armed cholesky identically — placement choices, sched.place
-  // explain strings, recovery, everything.
-  auto config = [](std::shared_ptr<const model::Planner> planner) {
-    RuntimeConfig cfg = sim_config(4);
-    cfg.fault.enabled = true;
-    cfg.fault.seed = 0xdecaf;
-    cfg.fault.crashes = {{1, 1e-3}};
-    cfg.fault.drop_probability = 0.05;
-    cfg.planner = std::move(planner);
-    return cfg;
-  };
-  std::string with_default, with_explicit;
-  {
-    Runtime rt(config(nullptr));
-    run_cholesky(rt);
-    with_default = export_trace(rt);
-  }
-  {
-    Runtime rt(config(std::make_shared<model::HeuristicPlanner>()));
-    run_cholesky(rt);
-    with_explicit = export_trace(rt);
-  }
-  EXPECT_FALSE(with_default.empty());
-  EXPECT_EQ(with_default, with_explicit);
-  // The seam's explain strings are in the stream (locality scoring visible).
-  EXPECT_NE(with_default.find("sched.place"), std::string::npos);
-  EXPECT_NE(with_default.find("chosen="), std::string::npos);
 }
 
 // --- Speculation (SchedPolicy::spec) must preserve the contract ------------
@@ -246,36 +210,6 @@ TEST(TraceDeterminism, ByteIdenticalWithCommProtocolOptimizationsAndFaults) {
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
   EXPECT_EQ(result_first.cols, result_second.cols);
-}
-
-TEST(TraceDeterminism, LegacyProtocolMatchesOptimizedResults) {
-  // Turning every CommConfig flag off reproduces the legacy per-object
-  // protocol; the factored matrix must be bit-identical either way (only
-  // the simulated communication cost may differ), and each configuration
-  // must stay internally deterministic.
-  auto config = [](bool optimized) {
-    RuntimeConfig cfg = sim_config(6);
-    cfg.cluster = presets::hetero_workstations(6);
-    if (!optimized) cfg.sched.comm = CommConfig{false, false, false, false,
-                                                false};
-    return cfg;
-  };
-  auto run_once = [](RuntimeConfig cfg, apps::SparseMatrix* out) {
-    Runtime rt(std::move(cfg));
-    const auto a = apps::paper_example_matrix();
-    auto jm = apps::upload_matrix(rt, a);
-    rt.run([&](TaskContext& ctx) { apps::factor_jade(ctx, jm); });
-    *out = apps::download_matrix(rt, jm);
-    return export_trace(rt);
-  };
-  apps::SparseMatrix legacy, optimized, optimized2;
-  const std::string legacy_trace = run_once(config(false), &legacy);
-  const std::string opt_trace = run_once(config(true), &optimized);
-  const std::string opt_trace2 = run_once(config(true), &optimized2);
-  EXPECT_EQ(legacy.cols, optimized.cols);
-  EXPECT_EQ(opt_trace, opt_trace2);
-  // The protocols genuinely differ on the wire, so the traces must too.
-  EXPECT_NE(legacy_trace, opt_trace);
 }
 
 TEST(TraceDeterminism, StreamCoversEngineNetAndStore) {

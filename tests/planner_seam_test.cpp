@@ -1,12 +1,10 @@
-// The Planner seam: golden-format tests of the explain renderers, golden
+// Placement explains: golden-format tests of the explain renderers, golden
 // locality-score tests over PlacementExplain, and the contract that every
-// engine's placement decisions flow through the seam — ThreadEngine and
-// ClusterEngine emit the same structured "sched.place" instants SimEngine
-// always has (the issue's PlacementExplain fix).
+// engine narrates its placements — ThreadEngine and ClusterEngine emit the
+// same structured "sched.place" instants SimEngine does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,17 +12,11 @@
 #include "jade/cluster/cluster_engine.hpp"
 #include "jade/cluster/registry.hpp"
 #include "jade/core/runtime.hpp"
-#include "jade/mach/presets.hpp"
-#include "jade/model/model_planner.hpp"
-#include "jade/model/planner.hpp"
 #include "jade/obs/chrome_trace.hpp"
+#include "jade/sched/policies.hpp"
 
 namespace jade {
 namespace {
-
-using model::format_placement_explain;
-using model::format_task_select_explain;
-using model::HeuristicPlanner;
 
 ObjectInfo make_info(ObjectId id, std::size_t doubles) {
   return ObjectInfo{id, TypeDescriptor::array_of<double>(doubles),
@@ -40,7 +32,6 @@ class SeamTest : public ::testing::Test {
     dir.add_object(make_info(3, 1), 2);
   }
   ObjectDirectory dir;
-  HeuristicPlanner planner;
 };
 
 // --- golden explain-format strings -----------------------------------------
@@ -75,15 +66,14 @@ TEST(ExplainFormat, TaskSelectEmptyWindowGolden) {
   EXPECT_EQ(format_task_select_explain(e, 0, {}), "chosen=-1 w0");
 }
 
-// --- golden locality scores through the seam -------------------------------
+// --- golden locality scores -------------------------------------------------
 
 TEST_F(SeamTest, PlaceTaskScoresResidentBytesPerCandidate) {
   const ObjectId objs[] = {1, 2};  // 800 B on m0, 80 B on m1
   const int free[] = {1, 1, 1};
   PlacementExplain e;
-  const MachineId chosen =
-      planner.place_task(dir, {objs, free, /*locality=*/true, /*creator=*/2},
-                         &e);
+  const MachineId chosen = pick_machine_for_task(
+      dir, objs, free, /*locality=*/true, /*creator=*/2, &e);
   EXPECT_EQ(chosen, 0);
   EXPECT_EQ(format_placement_explain(e),
             "chosen=0 m0:bytes=800,free=1 m1:bytes=80,free=1 "
@@ -95,7 +85,7 @@ TEST_F(SeamTest, PlaceTaskExcludesBusyMachinesFromCandidates) {
   const int free[] = {0, 2, 1};  // m0 holds the bytes but has no context
   PlacementExplain e;
   const MachineId chosen =
-      planner.place_task(dir, {objs, free, true, /*creator=*/1}, &e);
+      pick_machine_for_task(dir, objs, free, true, /*creator=*/1, &e);
   EXPECT_EQ(chosen, 1);  // tie on bytes falls to the creator
   EXPECT_EQ(format_placement_explain(e),
             "chosen=1 m1:bytes=0,free=2 m2:bytes=0,free=1");
@@ -104,8 +94,8 @@ TEST_F(SeamTest, PlaceTaskExcludesBusyMachinesFromCandidates) {
 TEST_F(SeamTest, SelectTaskScoresWindowAgainstMachine) {
   const std::vector<std::vector<ObjectId>> lists = {{3}, {1}, {2}};
   PlacementExplain e;
-  const std::size_t pick =
-      planner.select_task(dir, {lists, /*machine=*/0, /*locality=*/true}, &e);
+  const std::size_t pick = pick_task_for_machine(
+      dir, lists, /*machine=*/0, /*locality=*/true, &e);
   EXPECT_EQ(pick, 1u);  // object 1's 800 B live on machine 0
   const std::uint64_t ids[] = {10, 11, 12};
   EXPECT_EQ(format_task_select_explain(e, 0, ids),
@@ -115,13 +105,13 @@ TEST_F(SeamTest, SelectTaskScoresWindowAgainstMachine) {
 TEST_F(SeamTest, ExplainClaimListsQueueDepths) {
   const int depths[] = {3, 0, 5};
   PlacementExplain e;
-  planner.explain_claim(depths, /*chosen=*/1, &e);
+  explain_claim(depths, /*chosen=*/1, &e);
   EXPECT_EQ(format_placement_explain(e),
             "chosen=1 m0:bytes=0,free=3 m1:bytes=0,free=0 "
             "m2:bytes=0,free=5");
 }
 
-// --- every engine narrates its placements through the seam -----------------
+// --- every engine narrates its placements ----------------------------------
 
 void run_cholesky(Runtime& rt) {
   const auto a = apps::paper_example_matrix();
@@ -207,39 +197,6 @@ TEST(PlannerSeamEngines, ClusterEngineEmitsStructuredPlacements) {
         << e.detail;
     EXPECT_NE(e.detail.find(":bytes="), std::string::npos) << e.detail;
   }
-}
-
-TEST(PlannerSeamEngines, UnfittedModelPlannerMatchesDefaultByteForByte) {
-  // ModelPlanner inherits the heuristic per-decision placements and its
-  // unfitted plan_policy is the identity, so swapping it in must not change
-  // a byte of a deterministic SimEngine export.
-  auto config = [](std::shared_ptr<const model::Planner> planner) {
-    RuntimeConfig cfg;
-    cfg.engine = EngineKind::kSim;
-    cfg.cluster = presets::ipsc860(4);
-    cfg.obs.trace = true;
-    cfg.planner = std::move(planner);
-    return cfg;
-  };
-  auto export_trace = [](Runtime& rt) {
-    std::ostringstream os;
-    rt.write_chrome_trace(os);
-    return os.str();
-  };
-  std::string with_default, with_model;
-  {
-    Runtime rt(config(nullptr));
-    run_cholesky(rt);
-    with_default = export_trace(rt);
-  }
-  {
-    Runtime rt(config(std::make_shared<model::ModelPlanner>(
-        model::CostModel{}, model::WorkloadFeatures{})));
-    run_cholesky(rt);
-    with_model = export_trace(rt);
-  }
-  EXPECT_FALSE(with_default.empty());
-  EXPECT_EQ(with_default, with_model);
 }
 
 }  // namespace

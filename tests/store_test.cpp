@@ -200,10 +200,6 @@ TEST_F(DirectoryTest, BytesScoreableCountsReusableReplicas) {
   const ObjectId objs[] = {1, 2};
   dir.replicate_to(1, 2);
   dir.drop_copy(1, 2);
-  // Scoring off (default): identical to bytes_present.
-  EXPECT_EQ(dir.bytes_scoreable(objs, 2), dir.bytes_present(objs, 2));
-  EXPECT_EQ(dir.bytes_scoreable(objs, 2), 0u);
-  dir.set_reuse_scoring(true);
   EXPECT_EQ(dir.bytes_scoreable(objs, 2), 80u);  // the reusable replica
   EXPECT_EQ(dir.bytes_present(objs, 2), 0u);     // still not resident
   dir.mark_dirty(1);
@@ -222,6 +218,30 @@ TEST_F(DirectoryTest, ReuseSurvivesOwnershipSurgery) {
   EXPECT_EQ(dir.owner(1), 2);
   EXPECT_TRUE(dir.reusable(1, 3));
   EXPECT_TRUE(dir.reusable(1, 0));  // the dead home's copy was also current
+}
+
+TEST_F(DirectoryTest, ForgetLastSeenEndsReuseOnOneMachine) {
+  // A dead worker process takes its dropped replicas with it: once the
+  // directory forgets machine 2, nothing there revalidates or scores, while
+  // machine 3's record is untouched.
+  const ObjectId objs[] = {1, 2};
+  dir.replicate_to(1, 2);
+  dir.replicate_to(1, 3);
+  dir.replicate_to(2, 2);
+  dir.drop_copy(1, 2);
+  dir.drop_copy(1, 3);
+  dir.drop_copy(2, 2);
+  ASSERT_TRUE(dir.reusable(1, 2));
+  ASSERT_TRUE(dir.reusable(2, 2));
+  dir.forget_last_seen(2);
+  EXPECT_FALSE(dir.reusable(1, 2));
+  EXPECT_FALSE(dir.reusable(2, 2));
+  EXPECT_EQ(dir.bytes_scoreable(objs, 2), 0u);
+  EXPECT_TRUE(dir.reusable(1, 3));
+  // A fresh drop records the machine again.
+  dir.replicate_to(1, 2);
+  dir.drop_copy(1, 2);
+  EXPECT_TRUE(dir.reusable(1, 2));
 }
 
 }  // namespace
