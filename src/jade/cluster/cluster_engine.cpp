@@ -54,11 +54,10 @@ void nak_with_cont(Channel& ch, const TaskNode* task, ErrorCode code,
 
 }  // namespace
 
-ClusterEngine::ClusterEngine(Options options, SchedPolicy sched,
-                             bool enforce_hierarchy)
+ClusterEngine::ClusterEngine(Options options, SchedPolicy sched)
     : options_(options),
       sched_(sched),
-      serializer_(this, enforce_hierarchy),
+      serializer_(this),
       directory_(options.workers),
       transport_([this] { return wall_now(); }, &tracer_),
       throttle_(sched.throttle),
@@ -271,7 +270,6 @@ void ClusterEngine::run(std::function<void(TaskContext&)> root_body) {
     first_error_ = nullptr;
     root_done_ = false;
     root_unblocked_ = false;
-    root_token_ready_ = false;
     stats_ = RuntimeStats{};
     stats_.machine_busy_seconds.assign(
         static_cast<std::size_t>(options_.workers), 0.0);
@@ -769,11 +767,8 @@ void ClusterEngine::release_retired_tokens_locked(
 }
 
 void ClusterEngine::grant_token_locked(TaskNode* next) {
-  if (next == serializer_.root()) {
-    root_token_ready_ = true;
-    root_cv_.notify_all();
-    return;
-  }
+  // Only worker tasks queue for a token: the root takes tokens through
+  // acquire_bytes, which never waits (no conflicting records can exist).
   auto it = pending_.find(next);
   if (it == pending_.end()) return;
   JADE_ASSERT(it->second.stage == PendingRpc::Stage::kToken);

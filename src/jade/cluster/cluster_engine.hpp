@@ -56,8 +56,7 @@ class ClusterEngine : public Engine,
                       public RegisteredSpawner,
                       private SerializerListener {
  public:
-  explicit ClusterEngine(Options options, SchedPolicy sched = {},
-                         bool enforce_hierarchy = true);
+  explicit ClusterEngine(Options options, SchedPolicy sched = {});
   ~ClusterEngine() override;
 
   ClusterEngine(const ClusterEngine&) = delete;
@@ -242,7 +241,6 @@ class ClusterEngine : public Engine,
       shipped_;
   bool root_done_ = false;
   bool root_unblocked_ = false;
-  bool root_token_ready_ = false;
   bool aborting_ = false;
   std::exception_ptr first_error_;
   MachineId alloc_rr_ = 0;

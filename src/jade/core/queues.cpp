@@ -13,8 +13,7 @@ DeclRecord* TaskNode::find_record(ObjectId obj) {
   return nullptr;
 }
 
-Serializer::Serializer(SerializerListener* listener, bool enforce_hierarchy)
-    : listener_(listener), enforce_hierarchy_(enforce_hierarchy) {
+Serializer::Serializer(SerializerListener* listener) : listener_(listener) {
   JADE_ASSERT(listener != nullptr);
   make_root();
 }
@@ -117,7 +116,7 @@ TaskNode* Serializer::create_task(TaskNode* parent,
     // Program roots are exempt from the coverage rule the way root children
     // are: they begin a fresh program whose accesses their host parent (the
     // server dispatcher, which declares nothing) never made.
-    if (enforce_hierarchy_ && !parent->is_root() && !parent->program_root_)
+    if (!parent->is_root() && !parent->program_root_)
       check_coverage(parent, req);
     JADE_ASSERT_MSG(task->find_record(req.obj) == nullptr,
                     "duplicate declaration for one object in one withonly");

@@ -170,7 +170,7 @@ class SerializerListener {
 
 class Serializer {
  public:
-  Serializer(SerializerListener* listener, bool enforce_hierarchy = true);
+  explicit Serializer(SerializerListener* listener);
   ~Serializer();
 
   Serializer(const Serializer&) = delete;
@@ -351,7 +351,6 @@ class Serializer {
   void make_root();
 
   SerializerListener* listener_;
-  bool enforce_hierarchy_;
   std::function<TenantId(ObjectId)> tenant_oracle_;
   TaskNode* root_;
   std::vector<std::unique_ptr<TaskNode>> tasks_;

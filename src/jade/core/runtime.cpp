@@ -13,19 +13,17 @@ namespace {
 std::unique_ptr<Engine> make_engine(const RuntimeConfig& config) {
   switch (config.engine) {
     case EngineKind::kSerial:
-      return std::make_unique<SerialEngine>(config.enforce_hierarchy);
+      return std::make_unique<SerialEngine>();
     case EngineKind::kThread:
-      return std::make_unique<ThreadEngine>(
-          config.threads, config.sched.throttle, config.enforce_hierarchy,
-          config.sched.spec);
+      return std::make_unique<ThreadEngine>(config.threads,
+                                            config.sched.throttle);
     case EngineKind::kSim:
       config.cluster.validate();
       return std::make_unique<SimEngine>(config.cluster, config.sched,
-                                         config.enforce_hierarchy,
                                          config.fault);
     case EngineKind::kCluster:
-      return std::make_unique<cluster::ClusterEngine>(
-          config.cluster_proc, config.sched, config.enforce_hierarchy);
+      return std::make_unique<cluster::ClusterEngine>(config.cluster_proc,
+                                                      config.sched);
   }
   throw ConfigError("unknown EngineKind");
 }

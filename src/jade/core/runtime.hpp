@@ -58,14 +58,11 @@ struct RuntimeConfig {
   /// boundary.
   cluster::Options cluster_proc;
 
-  /// Scheduling policy (SimEngine; ThreadEngine uses throttle and spec;
-  /// ClusterEngine uses throttle and locality).  model::tune_policy picks
-  /// one from a fitted CostModel (docs/MODEL.md).
+  /// Scheduling policy (SimEngine; ThreadEngine uses throttle only;
+  /// ClusterEngine uses throttle and locality).  Speculation (`spec`) is a
+  /// SimEngine feature: the other engines accept and ignore it.
+  /// model::tune_policy picks one from a fitted CostModel (docs/MODEL.md).
   SchedPolicy sched;
-
-  /// Reject child tasks whose accesses the parent did not declare
-  /// (Section 4.4).  Disable only in benchmarks measuring check overhead.
-  bool enforce_hierarchy = true;
 
   /// Fault injection & recovery (SimEngine on message-passing platforms
   /// only; see docs/FAULT_TOLERANCE.md).  Disabled by default.

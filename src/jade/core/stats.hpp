@@ -16,7 +16,6 @@ namespace jade {
 /// Counters every engine maintains (those that apply to it).
 struct RuntimeStats {
   std::uint64_t tasks_created = 0;
-  std::uint64_t tasks_inlined = 0;   ///< executed in the creator (throttling)
   std::uint64_t tasks_migrated = 0;  ///< executed off the creating machine
   std::uint64_t throttle_suspensions = 0;
   std::uint64_t throttle_giveups = 0;  ///< creator resumed to avoid deadlock

@@ -28,7 +28,6 @@ void Engine::publish_runtime_stats() {
   const RuntimeStats& s = stats_;
   obs::MetricsRegistry& m = metrics_;
   m.counter("engine.tasks_created").set(s.tasks_created);
-  m.counter("engine.tasks_inlined").set(s.tasks_inlined);
   m.counter("engine.tasks_migrated").set(s.tasks_migrated);
   m.counter("engine.throttle_suspensions").set(s.throttle_suspensions);
   m.counter("engine.throttle_giveups").set(s.throttle_giveups);

@@ -5,8 +5,7 @@
 
 namespace jade {
 
-SerialEngine::SerialEngine(bool enforce_hierarchy)
-    : serializer_(this, enforce_hierarchy) {
+SerialEngine::SerialEngine() : serializer_(this) {
   serializer_.set_tenant_oracle(
       [this](ObjectId obj) { return objects_.info(obj).tenant; });
 }

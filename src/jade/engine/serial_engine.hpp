@@ -20,7 +20,7 @@ namespace jade {
 
 class SerialEngine : public Engine, private SerializerListener {
  public:
-  explicit SerialEngine(bool enforce_hierarchy);
+  SerialEngine();
 
   ObjectId allocate(TypeDescriptor type, std::string name,
                     MachineId home) override;

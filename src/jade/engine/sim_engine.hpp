@@ -55,8 +55,7 @@ class FaultyNetwork;
 
 class SimEngine : public Engine, private SerializerListener {
  public:
-  SimEngine(ClusterConfig cluster, SchedPolicy sched, bool enforce_hierarchy,
-            FaultConfig fault = {});
+  SimEngine(ClusterConfig cluster, SchedPolicy sched, FaultConfig fault = {});
   ~SimEngine() override;
 
   ObjectId allocate(TypeDescriptor type, std::string name,
@@ -263,8 +262,8 @@ class SimEngine : public Engine, private SerializerListener {
   /// with ThreadEngine); counters fold into stats_ at the end of run().
   ThrottleGate throttle_;
   /// The speculation lifecycle — candidates, snapshots, commit check,
-  /// write-back, abort rewind, counters (shared implementation with
-  /// ThreadEngine); folds into stats_ like throttle_.
+  /// write-back, abort rewind, counters (sched/governor.hpp; SimEngine is
+  /// the only engine that speculates); folds into stats_ like throttle_.
   SpeculationGovernor spec_gov_;
   std::vector<TaskTimeline> timeline_;
 

@@ -96,12 +96,12 @@ struct SimEngine::FtHooks final : RecoveryHooks {
 // --- construction -----------------------------------------------------------
 
 SimEngine::SimEngine(ClusterConfig cluster, SchedPolicy sched,
-                     bool enforce_hierarchy, FaultConfig fault)
+                     FaultConfig fault)
     : cluster_(std::move(cluster)),
       sched_(sched),
       network_(cluster_.make_network()),
       directory_(cluster_.machine_count()),
-      serializer_(this, enforce_hierarchy),
+      serializer_(this),
       throttle_(sched_.throttle),
       spec_gov_(sched_.spec) {
   cluster_.validate();

@@ -28,7 +28,6 @@ bool engine_aborting_in_flight() {
 
 thread_local ThreadEngine* ThreadEngine::tls_engine_ = nullptr;
 thread_local ThreadEngine::ThreadSlot* ThreadEngine::tls_slot_ = nullptr;
-thread_local SpecAttempt* ThreadEngine::tls_spec_ = nullptr;
 
 ThreadEngine::TlsBinding::TlsBinding(ThreadEngine* engine, ThreadSlot* slot)
     : prev_engine_(tls_engine_), prev_slot_(tls_slot_) {
@@ -41,12 +40,8 @@ ThreadEngine::TlsBinding::~TlsBinding() {
   tls_slot_ = prev_slot_;
 }
 
-ThreadEngine::ThreadEngine(int workers, ThrottleConfig throttle,
-                           bool enforce_hierarchy, SpecConfig spec)
-    : workers_requested_(workers),
-      throttle_(throttle),
-      serializer_(this, enforce_hierarchy),
-      spec_gov_(spec) {
+ThreadEngine::ThreadEngine(int workers, ThrottleConfig throttle)
+    : workers_requested_(workers), throttle_(throttle), serializer_(this) {
   JADE_ASSERT_MSG(workers >= 1, "ThreadEngine needs at least one worker");
   // Pre-sized so publishing a slot is a single release store of slot_count_
   // (stealers scan the prefix without locking).
@@ -196,10 +191,7 @@ void ThreadEngine::idle_park(ThreadSlot* slot,
   }
   sleeping_threads_.fetch_add(1, std::memory_order_seq_cst);
   bool wake_now = stop_.load(std::memory_order_seq_cst) ||
-                  ready_count_.load(std::memory_order_seq_cst) > 0 ||
-                  (spec_gov_.enabled() &&
-                   spec_epoch_.load(std::memory_order_seq_cst) !=
-                       slot->spec_seen_epoch);
+                  ready_count_.load(std::memory_order_seq_cst) > 0;
   if (!wake_now && extra_wake) {
     std::lock_guard<std::mutex> lock(mu_);
     wake_now = (this->*extra_wake)();
@@ -226,12 +218,6 @@ void ThreadEngine::on_task_ready(TaskNode* task) {
   ThreadSlot* slot = tls_slot_;
   JADE_ASSERT_MSG(tls_engine_ == this && slot != nullptr,
                   "serializer callback on an unbound thread");
-  if (task->speculating()) {
-    // The task already ran (or is running) speculatively; it needs a
-    // commit/abort decision, not a dispatch.
-    spec_gov_.defer_decision(task);
-    return;
-  }
   slot->deque.push(task);
   slot->max_queue_depth =
       std::max(slot->max_queue_depth, slot->deque.size_estimate());
@@ -296,8 +282,6 @@ void ThreadEngine::worker_loop(ThreadSlot* slot) {
       execute(task, slot);
       continue;
     }
-    // No ready work: run ahead speculatively rather than going idle.
-    if (try_speculate(slot)) continue;
     if (spin_for_work(slot)) continue;
     idle_park(slot, nullptr);
   }
@@ -364,8 +348,6 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
       blocked_.clear();
       commute_ = CommuteTokenTable{};
       throttle_.reset_counters();
-      spec_gov_.reset();
-      spec_attempts_.clear();
       first_error_ = nullptr;
       stats_ = RuntimeStats{};
       const int nslots = slot_count_.load(std::memory_order_relaxed);
@@ -412,10 +394,7 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
       // its body took, or commuting tasks would wait on them forever.  No
       // hand-off: sleepers race for freed tokens under state_cv_.
       commute_.release_all(serializer_.root(), [](TaskNode*, ObjectId) {});
-      if (!root_failed) {
-        serializer_.complete_task(serializer_.root());
-        drain_spec_decides_locked(root_slot);
-      }
+      if (!root_failed) serializer_.complete_task(serializer_.root());
       if (cv_waiters_ > 0) state_cv_.notify_all();
     }
     for (;;) {
@@ -427,7 +406,6 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
         execute(task, root_slot);
         continue;
       }
-      if (try_speculate(root_slot)) continue;
       idle_park(root_slot, &ThreadEngine::drain_should_exit);
     }
   }
@@ -466,7 +444,6 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
         .set(static_cast<double>(depth[m]));
   }
   throttle_.publish(stats_);
-  spec_gov_.publish(stats_);
   publish_runtime_stats();
   if (first_error_) std::rethrow_exception(first_error_);
 }
@@ -526,7 +503,6 @@ void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
       slot->local_grants = 1;
       serializer_.complete_task(task);
       slot->local_grants = 0;
-      drain_spec_decides_locked(slot);
       drained = serializer_.outstanding() == 0;
     }
     // Blocked tasks (commute token, dependency waits) re-check their
@@ -556,13 +532,6 @@ void ThreadEngine::spawn(TaskNode* parent,
   TaskNode* task = serializer_.create_task(parent, requests, std::move(body),
                                            std::move(name), tenant);
   ++stats_.tasks_created;
-  if (spec_gov_.offer(task)) {
-    // Candidates bypass ready_count_, so run the same register-then-recheck
-    // wake protocol by hand: bump the epoch (parking threads re-check it),
-    // then unpark one already-parked thread to scan.
-    spec_epoch_.fetch_add(1, std::memory_order_seq_cst);
-    wake_one();
-  }
   const ThrottleGate::Gates gate =
       throttle_.gates(serializer_.backlog(), pctl);
   const bool wait_needed = gate.any();
@@ -622,16 +591,11 @@ void ThreadEngine::spawn(TaskNode* parent,
 
 void ThreadEngine::with_cont(TaskNode* task,
                              const std::vector<AccessRequest>& requests) {
-  // Changing a declaration mid-speculation would fork the serial order the
-  // snapshot was captured against; abort and re-run normally.
-  if (task->speculating()) throw SpeculationUnwind{};
   std::unique_lock<std::mutex> lock(mu_);
   const bool must_block = serializer_.update_spec(task, requests);
   // no_cm also returns the engine-level exclusivity token early, so other
   // commuters proceed before this task completes.
   commute_.release_retired(task, requests, [](TaskNode*, ObjectId) {});
-  // Weakened rights may have enabled a speculating successor.
-  drain_spec_decides_locked(tls_slot_);
   if (must_block) wait_unblocked(task, lock);
   // A returned commute token (or retired rights) may unblock waiters.
   if (cv_waiters_ > 0) state_cv_.notify_all();
@@ -639,11 +603,6 @@ void ThreadEngine::with_cont(TaskNode* task,
 
 std::byte* ThreadEngine::acquire_bytes(TaskNode* task, ObjectId obj,
                                        std::uint8_t mode) {
-  if (task->speculating()) {
-    JADE_ASSERT_MSG(tls_spec_ != nullptr && tls_spec_->task == task,
-                    "speculative access outside its executing thread");
-    return SpeculationGovernor::shadow_bytes(*tls_spec_, obj, mode);
-  }
   {
     std::unique_lock<std::mutex> lock(mu_);
     const bool must_block = serializer_.acquire(task, obj, mode);
@@ -691,126 +650,6 @@ void ThreadEngine::wait_unblocked(TaskNode* task,
   if (!unblocked_.contains(task)) throw EngineAborting{};
   unblocked_.erase(task);
   JADE_TRACE("unblk-exit " << task->name());
-}
-
-// --- speculation (SchedPolicy::spec) ----------------------------------------
-
-bool ThreadEngine::try_speculate(ThreadSlot* slot) {
-  if (!spec_gov_.enabled()) return false;
-  TaskNode* picked = nullptr;
-  SpecAttempt* att = nullptr;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    // This scan observes every candidate registered so far; only a later
-    // registration should keep this thread from parking.
-    slot->spec_seen_epoch = spec_epoch_.load(std::memory_order_seq_cst);
-    if (first_error_ != nullptr || !spec_gov_.can_start()) return false;
-    std::vector<ObjectId> contested;
-    picked = spec_gov_.pick(serializer_, &contested,
-                            [](TaskNode*) { return true; });
-    if (picked == nullptr) return false;
-    auto attempt = std::make_unique<SpecAttempt>();
-    // Epoch+bytes capture is atomic w.r.t. conflicting writers while mu_ is
-    // held: a conflicting predecessor's first touch must pass through
-    // Serializer::acquire (under mu_, bumping the epoch), and successors are
-    // blocked behind this task's own linked records.
-    spec_gov_.start(*attempt, picked, serializer_, std::move(contested),
-                    [this](ObjectId obj) { return buffers_.get(obj); });
-    att = attempt.get();
-    spec_attempts_[picked] = std::move(attempt);
-    if (tracer_.enabled())
-      tracer_.instant(obs::Subsystem::kEngine, "spec.dispatch", picked->id(),
-                      slot->machine,
-                      static_cast<double>(att->contested.size()));
-  }
-  run_speculation(picked, att, slot);
-  return true;
-}
-
-void ThreadEngine::run_speculation(TaskNode* task, SpecAttempt* att,
-                                   ThreadSlot* slot) {
-  task->assigned_machine = slot->machine;
-  JADE_TRACE("spec-start " << task->name());
-  TaskContext ctx(this, task);
-  SpecAttempt* prev_spec = tls_spec_;
-  tls_spec_ = att;
-  bool failed = false;
-  try {
-    task->body(ctx);
-  } catch (...) {
-    // SpeculationUnwind, or a failure that may be an artifact of snapshot
-    // staleness: abort silently — a genuine error reproduces on the normal
-    // re-run.
-    failed = true;
-  }
-  tls_spec_ = prev_spec;
-  bool drained = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    att->failed = failed;
-    att->body_done = true;
-    if (task->state() == TaskState::kReady) {
-      // The serializer enabled the task while the body ran; the queued
-      // decision was a no-op then, so decide here, at the body's end.
-      decide_speculation_locked(task, slot);
-      drain_spec_decides_locked(slot);
-      drained = serializer_.outstanding() == 0;
-      if (cv_waiters_ > 0) state_cv_.notify_all();
-    }
-  }
-  if (drained) unpark_all();  // the drain thread may be parked
-}
-
-void ThreadEngine::drain_spec_decides_locked(ThreadSlot* slot) {
-  while (TaskNode* task = spec_gov_.next_decision())
-    decide_speculation_locked(task, slot);
-}
-
-void ThreadEngine::decide_speculation_locked(TaskNode* task,
-                                             ThreadSlot* slot) {
-  auto it = spec_attempts_.find(task);
-  JADE_ASSERT(it != spec_attempts_.end());
-  SpecAttempt& att = *it->second;
-  if (!att.body_done) return;  // run_speculation re-decides at the body end
-  const SpecVerdict v = spec_gov_.verdict(att, serializer_, /*doomed=*/false);
-  if (v == SpecVerdict::kCommit) {
-    spec_gov_.commit(att, serializer_,
-                     [this](ObjectId obj, const std::vector<std::byte>& bytes) {
-                       buffers_.put(obj, bytes);
-                     });
-    JADE_TRACE("spec-commit " << task->name());
-    if (tracer_.enabled()) {
-      tracer_.instant(obs::Subsystem::kEngine, "spec.commit", task->id(),
-                      slot->machine, static_cast<double>(att.dirty.size()));
-      // The task's span materializes at its serial position (zero width:
-      // the work itself ran earlier, speculatively).
-      tracer_.span_begin(obs::Subsystem::kEngine, "task", task->id(),
-                         slot->machine, task->name());
-      tracer_.span_end(obs::Subsystem::kEngine, "task", task->id(),
-                       slot->machine, task->charged_work);
-    }
-    task->body = nullptr;
-    ++slot->executed;
-    serializer_.complete_task(task);
-    // Starting+completing the task shrank the backlog; suspended creators
-    // watch it.
-    if (throttle_waiters_ > 0 &&
-        throttle_.backlog_drained(serializer_.backlog()))
-      state_cv_.notify_all();
-  } else {
-    // The per-thread charge cell keeps the rewound charge as wasted work in
-    // the global total (mirroring ft kills).
-    const double wasted_work = spec_gov_.abort(
-        att, serializer_, /*charge_history=*/v == SpecVerdict::kConflict);
-    JADE_TRACE("spec-abort " << task->name());
-    if (tracer_.enabled())
-      tracer_.instant(obs::Subsystem::kEngine, "spec.abort", task->id(),
-                      machine_of(task), wasted_work);
-    task->assigned_machine = -1;
-    // An already-enabled task re-enters the normal dispatch path.
-    if (task->state() == TaskState::kReady) on_task_ready(task);
-  }
-  spec_attempts_.erase(it);
 }
 
 void ThreadEngine::charge(TaskNode* task, double units) {

@@ -33,7 +33,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -48,8 +47,7 @@ namespace jade {
 
 class ThreadEngine : public Engine, private SerializerListener {
  public:
-  ThreadEngine(int workers, ThrottleConfig throttle, bool enforce_hierarchy,
-               SpecConfig spec = {});
+  ThreadEngine(int workers, ThrottleConfig throttle);
   ~ThreadEngine() override;
 
   ObjectId allocate(TypeDescriptor type, std::string name,
@@ -114,12 +112,6 @@ class ThreadEngine : public Engine, private SerializerListener {
     /// dependence chain wakes a stealer that migrates the chain, and two
     /// threads ping-pong it with a futex round-trip per task.
     std::uint32_t local_grants = 0;
-
-    /// spec_epoch_ value at this thread's last candidate scan.  idle_park
-    /// refuses to park while the global epoch is ahead of it, so a candidate
-    /// registered after the scan gets one more look before the thread
-    /// sleeps (same register-then-recheck protocol as ready_count_).
-    std::uint64_t spec_seen_epoch = 0;
 
     // Owner-thread-only cells (no sharing until the post-join fold).
     double charged = 0;
@@ -199,21 +191,6 @@ class ThreadEngine : public Engine, private SerializerListener {
   /// Records the first failure, wakes every waiter/parked thread.
   void record_error(std::exception_ptr err);
 
-  // --- speculation (run-ahead when a worker finds no ready task) -----------
-
-  /// Picks an eligible pending candidate and runs it speculatively on this
-  /// thread; false when speculation is off, over budget, or nothing
-  /// qualifies (the caller proceeds to spin/park).
-  bool try_speculate(ThreadSlot* slot);
-  /// Runs the speculative body (no lock held) and, if the serializer enabled
-  /// the task meanwhile, decides commit/abort at the body's end.
-  void run_speculation(TaskNode* task, SpecAttempt* att, ThreadSlot* slot);
-  /// Decides every speculating task that turned kReady (the governor's
-  /// deferred decisions); call after every serializer-mutating section,
-  /// with mu_ held.
-  void drain_spec_decides_locked(ThreadSlot* slot);
-  void decide_speculation_locked(TaskNode* task, ThreadSlot* slot);
-
   /// Registers the next ThreadSlot (single-threaded at run() start, under
   /// mu_ afterwards) and publishes it to stealing threads.
   ThreadSlot* add_slot(MachineId machine);
@@ -224,11 +201,6 @@ class ThreadEngine : public Engine, private SerializerListener {
   /// so a nested Runtime inside a task body cannot misroute callbacks.
   static thread_local ThreadEngine* tls_engine_;
   static thread_local ThreadSlot* tls_slot_;
-  /// The speculation the calling thread is currently executing, if any
-  /// (installed around the body in run_speculation).  Its shadow buffers are
-  /// read lock-free: nothing else touches them until body_done, which is
-  /// only set under mu_.
-  static thread_local SpecAttempt* tls_spec_;
 
   const int workers_requested_;
   /// Water-mark predicates + suspension/give-up counters (shared
@@ -249,19 +221,6 @@ class ThreadEngine : public Engine, private SerializerListener {
   /// holder is running and returns the token unaided, and should it block
   /// later, its own wait makes sure of a spare.
   std::unordered_set<const TaskNode*> blocked_;
-  /// The speculation lifecycle — candidates, snapshots, commit check,
-  /// write-back, abort rewind, counters (shared implementation with
-  /// SimEngine, sched/governor.hpp).  Mutated under mu_.
-  SpeculationGovernor spec_gov_;
-  /// Bumped (under mu_) when a candidate is registered.  Candidates do not
-  /// raise ready_count_, so without this a thread that found no work before
-  /// the registration would park and never learn about the bet — the
-  /// spawner may be deep inside a long task body and in the worst case
-  /// every other thread sleeps through the whole speculation window.
-  std::atomic<std::uint64_t> spec_epoch_{0};
-  /// Live attempts, created under mu_ when a speculation starts and
-  /// destroyed under mu_ at commit/abort.
-  std::unordered_map<TaskNode*, std::unique_ptr<SpecAttempt>> spec_attempts_;
   /// Commuting-update exclusivity (Section 4.3 extension): commuters may
   /// execute in any order but their accesses are mutually exclusive.  A
   /// task takes an object's token at its first commute accessor and holds

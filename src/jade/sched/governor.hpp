@@ -21,9 +21,9 @@
 //   * SpeculationGovernor — Specx-style run-ahead (SchedPolicy::spec): the
 //     candidate list and its scan, snapshot capture, the shadow accessor,
 //     the write-epoch commit check, commit write-back and abort rewind, over
-//     one SpecAttempt type.  Engines keep only where a bet runs (a sim
-//     process on a placed machine, or an idle worker thread) and what its
-//     completion wakes.
+//     one SpecAttempt type.  SimEngine is its one user: it keeps only where
+//     a bet runs (a sim process on a placed machine) and what its
+//     completion wakes.  The other engines ignore SchedPolicy::spec.
 //
 // None of these synchronizes: the caller brings its own discipline
 // (SimEngine is single-threaded; ThreadEngine and ClusterEngine call under

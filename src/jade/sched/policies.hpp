@@ -24,9 +24,8 @@ namespace jade {
 
 /// Suppression of excess task creation (Section 3.3, Figure 7(e)): when the
 /// number of created-but-incomplete tasks exceeds high_water, the creating
-/// task is suspended (or, in ThreadEngine, made to execute ready tasks
-/// inline) until the backlog drains to low_water.  Serial semantics makes
-/// this deadlock-free: a task never waits for a later task.
+/// task is suspended until the backlog drains to low_water.  Serial
+/// semantics makes this deadlock-free: a task never waits for a later task.
 struct ThrottleConfig {
   bool enabled = false;
   std::uint64_t high_water = 512;
@@ -34,14 +33,15 @@ struct ThrottleConfig {
 };
 
 /// Speculative task execution (Specx-style run-ahead with deterministic
-/// rollback).  When workers sit idle and a pending task's only unresolved
-/// predecessors hold *write* declarations that have not yet touched the
-/// contested objects, the engine may dispatch it speculatively against
-/// snapshot-isolated buffers.  At predecessor retirement the Serializer is
-/// the commit check: if no conflicting write materialized the speculation
-/// commits (its buffered writes become the canonical bytes, in serial
-/// order); otherwise it aborts — buffers discarded, charge rewound, task
-/// re-run normally when actually enabled.  All-off (`enabled = false`)
+/// rollback; SimEngine only — the other engines ignore it).  When machines
+/// sit idle and a pending task's only unresolved predecessors hold *write*
+/// declarations that have not yet touched the contested objects, the engine
+/// may dispatch it speculatively against snapshot-isolated buffers.  At
+/// predecessor retirement the Serializer is the commit check: if no
+/// conflicting write materialized the speculation commits (its buffered
+/// writes become the canonical bytes, in serial order); otherwise it aborts
+/// — buffers discarded, charge rewound, task re-run normally when actually
+/// enabled.  All-off (`enabled = false`)
 /// preserves legacy behavior to the byte (no new trace events, no state).
 struct SpecConfig {
   bool enabled = false;

@@ -223,6 +223,29 @@ TEST(ClusterEngine, CommuteAccumulatorMatchesSerial) {
   EXPECT_DOUBLE_EQ(run_acc(serial_config()), 136.0);
 }
 
+TEST(ClusterEngine, RootHoldsCommuteTokenWhileWorkersQueue) {
+  // The root takes acc's commute token first, so every commuter that reaches
+  // a worker queues for it until the root body returns its tokens.
+  const auto run_acc = [](const RuntimeConfig& cfg) {
+    Runtime rt(cfg);
+    auto acc = rt.alloc<double>(1, "acc");
+    rt.run([&](TaskContext& ctx) {
+      ctx.commute(acc)[0] = 100.0;
+      for (int k = 1; k <= 16; ++k) {
+        WireWriter args;
+        put_ref(args, acc);
+        args.put_f64(static_cast<double>(k));
+        cluster::spawn(ctx, kCommuteAdd, std::move(args),
+                       [&](AccessDecl& d) { d.cm(acc); });
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    });
+    return rt.get(acc)[0];
+  };
+  EXPECT_DOUBLE_EQ(run_acc(cluster_config()), 236.0);
+  EXPECT_DOUBLE_EQ(run_acc(serial_config()), 236.0);
+}
+
 TEST(ClusterEngine, WithContConversionMatchesSerial) {
   const auto run_prog = [](const RuntimeConfig& cfg) {
     Runtime rt(cfg);

@@ -408,17 +408,6 @@ TEST_F(SerializerTest, ImmediateSupersedesDeferredInOneDecl) {
   EXPECT_FALSE(ser.acquire(t, A.id(), kRead));
 }
 
-TEST_F(SerializerTest, UnenforcedHierarchyAllowsEscalation) {
-  RecordingListener l2;
-  Serializer loose(&l2, /*enforce_hierarchy=*/false);
-  TaskNode* p = loose.create_task(loose.root(),
-                                  spec([&](AccessDecl& d) { d.rd(A); }),
-                                  nullptr);
-  loose.task_started(p);
-  EXPECT_NO_THROW(
-      loose.create_task(p, spec([&](AccessDecl& d) { d.wr(A); }), nullptr));
-}
-
 TEST_F(SerializerTest, ConflictMatrix) {
   EXPECT_FALSE(access::conflicts(kRead, kRead));
   EXPECT_TRUE(access::conflicts(kRead, kWrite));

@@ -4,6 +4,7 @@
 // check when the blockers retire.  These tests pin down the semantics:
 // serial results always, commits when the conservative writes never
 // materialize, aborts (and the conflict-history throttle) when they do.
+// SimEngine is the engine that speculates; ThreadEngine ignores the policy.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -37,18 +38,14 @@ SchedPolicy spec_on(int max_live = 8, int conflict_limit = 2) {
 /// The canonical speculation-friendly shape: a conservative "refresh" stage
 /// declares rd_wr on a control object but (this round) never touches it,
 /// then `solvers` independent tasks each read the control object and write
-/// their own output.  `stall` also holds the conservative stage for that
-/// much real time (how a ThreadEngine run leaves idle workers to bet).
-/// Returns the run's duration; outputs land in `out`.
+/// their own output.  Returns the run's duration; outputs land in `out`.
 double run_pipeline(Runtime& rt, SharedRef<int> ctrl,
-                    const std::vector<SharedRef<int>>& outs, int rounds,
-                    std::chrono::milliseconds stall = {}) {
+                    const std::vector<SharedRef<int>>& outs, int rounds) {
   rt.run([&](TaskContext& ctx) {
     for (int r = 0; r < rounds; ++r) {
       ctx.withonly([&](AccessDecl& d) { d.rd_wr(ctrl); },
-                   [stall](TaskContext& t) {
+                   [](TaskContext& t) {
                      t.charge(1e7);  // 1 virtual second; no write happens
-                     std::this_thread::sleep_for(stall);
                    });
       for (auto out : outs) {
         ctx.withonly([&](AccessDecl& d) { d.rd(ctrl); d.wr(out); },
@@ -163,40 +160,15 @@ TEST(SimSpeculation, SameSeedRunsAreDeterministic) {
   EXPECT_EQ(capture(), capture());
 }
 
-RuntimeConfig thread_config(int threads, SchedPolicy sched) {
-  RuntimeConfig cfg;
-  cfg.engine = EngineKind::kThread;
-  cfg.threads = threads;
-  cfg.sched = sched;
-  return cfg;
-}
-
-// --- the same contract on every engine that speculates ---------------------
-
-/// One engine input.  `stall` is the real time a conservative stage holds
-/// its worker: SimEngine stalls in virtual time (charge), ThreadEngine needs
-/// a real wait so idle workers run the solvers ahead.
-struct SpecEngine {
-  const char* name;
-  RuntimeConfig (*config)(SchedPolicy);
-  std::chrono::milliseconds stall;
-};
-
-class Speculation : public ::testing::TestWithParam<SpecEngine> {};
-
-TEST_P(Speculation, UnsupportedOperationsAbortSilently) {
+TEST(SimSpeculation, UnsupportedOperationsAbortSilently) {
   // A speculative body that spawns (or changes its declaration) cannot run
   // ahead; it aborts, re-runs normally, and the child still executes.
-  Runtime rt(GetParam().config(spec_on()));
-  const std::chrono::milliseconds stall = GetParam().stall;
+  Runtime rt(sim_config(4, spec_on()));
   auto ctrl = rt.alloc<int>(1);
   auto out = rt.alloc<int>(1);
   rt.run([&](TaskContext& ctx) {
     ctx.withonly([&](AccessDecl& d) { d.rd_wr(ctrl); },
-                 [stall](TaskContext& t) {
-                   t.charge(1e7);
-                   std::this_thread::sleep_for(stall);
-                 });
+                 [](TaskContext& t) { t.charge(1e7); });
     ctx.withonly([&](AccessDecl& d) { d.rd(ctrl); d.df_wr(out); },
                  [ctrl, out](TaskContext& t) {
                    t.charge(1e6);
@@ -212,11 +184,11 @@ TEST_P(Speculation, UnsupportedOperationsAbortSilently) {
   EXPECT_EQ(s.spec_started, s.spec_committed + s.spec_aborted);
 }
 
-TEST_P(Speculation, CountersReachTheMetricsRegistry) {
-  Runtime rt(GetParam().config(spec_on()));
+TEST(SimSpeculation, CountersReachTheMetricsRegistry) {
+  Runtime rt(sim_config(4, spec_on()));
   auto ctrl = rt.alloc<int>(1);
   std::vector<SharedRef<int>> outs{rt.alloc<int>(1), rt.alloc<int>(1)};
-  run_pipeline(rt, ctrl, outs, 1, GetParam().stall);
+  run_pipeline(rt, ctrl, outs, 1);
   const RuntimeStats& s = rt.stats();
   EXPECT_GT(s.spec_started, 0u);
   auto& m = rt.engine().metrics();
@@ -227,22 +199,17 @@ TEST_P(Speculation, CountersReachTheMetricsRegistry) {
   EXPECT_EQ(m.counter("spec.wasted_bytes").value(), s.spec_wasted_bytes);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    , Speculation,
-    ::testing::Values(
-        SpecEngine{"Sim", [](SchedPolicy p) { return sim_config(4, p); },
-                   std::chrono::milliseconds(0)},
-        SpecEngine{"Thread", [](SchedPolicy p) { return thread_config(4, p); },
-                   std::chrono::milliseconds(50)}),
-    [](const ::testing::TestParamInfo<SpecEngine>& info) {
-      return std::string(info.param.name);
-    });
+// --- ThreadEngine: speculation is a SimEngine feature -----------------------
 
-// --- ThreadEngine: real parallelism, correctness under any interleaving ----
-
-TEST(ThreadSpeculation, SerialSemanticsUnderCommitsAndAborts) {
+/// ThreadEngine accepts a spec-enabled policy and ignores it: every task runs
+/// when the serializer enables it, so results are serial and no bet starts.
+TEST(ThreadSpeculation, RequestIsIgnoredWithSerialResults) {
   for (int iter = 0; iter < 20; ++iter) {
-    Runtime rt(thread_config(4, spec_on()));
+    RuntimeConfig cfg;
+    cfg.engine = EngineKind::kThread;
+    cfg.threads = 4;
+    cfg.sched = spec_on();
+    Runtime rt(cfg);
     auto ctrl = rt.alloc<int>(1);
     constexpr int kRounds = 4;
     std::vector<SharedRef<int>> outs;
@@ -269,35 +236,9 @@ TEST(ThreadSpeculation, SerialSemanticsUnderCommitsAndAborts) {
     EXPECT_EQ(rt.get(outs[2])[0], 101);
     EXPECT_EQ(rt.get(outs[3])[0], 103);
     const RuntimeStats& s = rt.stats();
+    EXPECT_EQ(s.spec_started, 0u);
     EXPECT_EQ(s.spec_started, s.spec_committed + s.spec_aborted);
   }
-}
-
-TEST(ThreadSpeculation, IdleWorkersRunAheadAndCommit) {
-  Runtime rt(thread_config(4, spec_on()));
-  auto ctrl = rt.alloc<int>(1);
-  std::vector<SharedRef<int>> outs;
-  for (int i = 0; i < 8; ++i) outs.push_back(rt.alloc<int>(1));
-  rt.run([&](TaskContext& ctx) {
-    ctx.withonly([&](AccessDecl& d) { d.rd_wr(ctrl); },
-                 [](TaskContext& t) {
-                   (void)t;
-                   // A long conservative stage: idle workers should run the
-                   // solvers ahead instead of waiting it out.
-                   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-                 });
-    for (auto out : outs) {
-      ctx.withonly([&](AccessDecl& d) { d.rd(ctrl); d.wr(out); },
-                   [ctrl, out](TaskContext& t) {
-                     t.write(out)[0] = t.read(ctrl)[0] + 5;
-                   });
-    }
-  });
-  for (auto out : outs) EXPECT_EQ(rt.get(out)[0], 5);
-  const RuntimeStats& s = rt.stats();
-  EXPECT_GT(s.spec_started, 0u);
-  EXPECT_EQ(s.spec_committed, s.spec_started);
-  EXPECT_EQ(s.spec_aborted, 0u);
 }
 
 }  // namespace
