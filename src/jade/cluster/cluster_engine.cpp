@@ -812,7 +812,8 @@ void ClusterEngine::pump_locked() {
         }
         std::vector<ObjectId> objs;
         objs.reserve(t->record_count());
-        for (const DeclRecord* r : t->ordered_records()) objs.push_back(r->obj);
+        for (const DeclRecord* r : t->ordered_records())
+          objs.push_back(r->obj());
         lists.push_back(std::move(objs));
         index_of.push_back(i);
       }
@@ -854,7 +855,7 @@ void ClusterEngine::dispatch_locked(TaskNode* task, int s) {
   std::vector<FetchItem> items;
   for (const DeclRecord* r : task->ordered_records())
     if (r->immediate & (access::kRead | access::kWrite))
-      items.push_back({r->obj, (r->immediate & access::kWrite) != 0, true});
+      items.push_back({r->obj(), (r->immediate & access::kWrite) != 0, true});
   if (!items.empty()) coherence_->fetch(w, items);
 
   DispatchMsg msg;
@@ -864,7 +865,7 @@ void ClusterEngine::dispatch_locked(TaskNode* task, int s) {
   msg.args = rec.args;  // copied: a crash re-dispatch sends them again
   for (const DeclRecord* r : task->ordered_records())
     msg.objects.push_back(
-        make_ship_locked(task, r->obj, w, rec, r->immediate));
+        make_ship_locked(task, r->obj(), w, rec, r->immediate));
   slot.channel->queue(FrameType::kDispatch, pack(msg));
 
   slot.running = task;

@@ -9,7 +9,7 @@ namespace jade {
 
 DeclRecord* TaskNode::find_record(ObjectId obj) {
   for (DeclRecord* rec : ordered_records_)
-    if (rec->obj == obj) return rec;
+    if (rec->queue->obj == obj) return rec;
   return nullptr;
 }
 
@@ -19,35 +19,63 @@ Serializer::Serializer(SerializerListener* listener) : listener_(listener) {
 }
 
 void Serializer::make_root() {
-  auto root = std::make_unique<TaskNode>();
-  root->id_ = 0;
-  root->name_ = "root";
-  root->state_ = TaskState::kRunning;
-  root_ = root.get();
-  tasks_.push_back(std::move(root));
+  root_ = new TaskNode();
+  root_->id_ = 0;
+  root_->name_ = "root";
+  root_->state_ = TaskState::kRunning;
+  tasks_.store(root_, std::memory_order_relaxed);
+}
+
+void Serializer::free_tasks() {
+  // Oldest first: freed newest first, a SimEngine run's tasks left the heap
+  // fragmented enough that every later run on a fresh engine grew the peak
+  // RSS again.
+  TaskNode* oldest = nullptr;
+  TaskNode* t = tasks_.exchange(nullptr, std::memory_order_acquire);
+  while (t != nullptr) {
+    TaskNode* next = t->next_owned_;
+    t->next_owned_ = oldest;
+    oldest = t;
+    t = next;
+  }
+  while (oldest != nullptr) {
+    TaskNode* next = oldest->next_owned_;
+    delete oldest;
+    oldest = next;
+  }
 }
 
 void Serializer::reset() {
-  tasks_.clear();
-  record_arena_.clear();
-  queues_.clear();
-  next_task_id_ = 1;
-  outstanding_ = 0;
-  unstarted_ = 0;
-  in_update_ = nullptr;
+  free_tasks();
+  for (QueueShard& shard : shards_) shard.queues.clear();
+  next_task_id_.store(1);
+  outstanding_.store(0);
+  unstarted_.store(0);
   make_root();
 }
 
-Serializer::~Serializer() = default;
+Serializer::~Serializer() { free_tasks(); }
 
-Serializer::ObjectQueue& Serializer::queue_for(ObjectId obj) {
-  return queues_[obj];
+ObjectQueue& Serializer::queue_for(ObjectId obj) {
+  QueueShard& shard = shards_[obj % kQueueShards];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto [it, inserted] = shard.queues.try_emplace(obj);
+  if (inserted) it->second.obj = obj;
+  return it->second;
 }
 
-DeclRecord* Serializer::new_record(TaskNode* task) {
-  if (task->inline_used_ < TaskNode::kInlineRecords)
-    return &task->inline_records_[task->inline_used_++];
-  return &record_arena_.emplace_back();
+ObjectQueue* Serializer::find_queue(ObjectId obj) const {
+  QueueShard& shard = shards_[obj % kQueueShards];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.queues.find(obj);
+  return it == shard.queues.end() ? nullptr : &it->second;
+}
+
+void Serializer::deliver(Notices& notices) {
+  for (TaskNode* t : notices.ready) listener_->on_task_ready(t);
+  for (TaskNode* t : notices.unblocked) listener_->on_task_unblocked(t);
+  notices.ready.clear();
+  notices.unblocked.clear();
 }
 
 void Serializer::check_coverage(TaskNode* parent,
@@ -93,16 +121,26 @@ TaskNode* Serializer::create_task(TaskNode* parent,
     }
   }
 
-  auto owned = std::make_unique<TaskNode>();
-  TaskNode* task = owned.get();
-  task->id_ = next_task_id_++;
+  auto* task = new TaskNode();
+  task->id_ = next_task_id_.fetch_add(1, std::memory_order_relaxed);
   task->name_ = name.empty() ? "task#" + std::to_string(task->id_)
                              : std::move(name);
   task->parent_ = parent;
   task->tenant_ = ctl;
   task->program_root_ = tenant != nullptr;
   task->body = std::move(body);
-  tasks_.push_back(std::move(owned));
+  // Creation guard: the task cannot be reported ready while its records
+  // are being linked and checked, whatever other threads retire meanwhile.
+  task->start_pending_.store(1, std::memory_order_relaxed);
+  if (requests.size() > TaskNode::kInlineRecords) {
+    task->overflow_records_ = std::make_unique<DeclRecord[]>(
+        requests.size() - TaskNode::kInlineRecords);
+  }
+  task->next_owned_ = tasks_.load(std::memory_order_relaxed);
+  while (!tasks_.compare_exchange_weak(task->next_owned_, task,
+                                       std::memory_order_release,
+                                       std::memory_order_relaxed)) {
+  }
 
   for (const AccessRequest& req : requests) {
     if (req.remove != 0) {
@@ -121,18 +159,27 @@ TaskNode* Serializer::create_task(TaskNode* parent,
     JADE_ASSERT_MSG(task->find_record(req.obj) == nullptr,
                     "duplicate declaration for one object in one withonly");
 
-    DeclRecord* rec = new_record(task);
+    const std::size_t n = task->ordered_records_.size();
+    DeclRecord* rec =
+        n < TaskNode::kInlineRecords
+            ? &task->inline_records_[n]
+            : &task->overflow_records_[n - TaskNode::kInlineRecords];
     rec->task = task;
-    rec->obj = req.obj;
     rec->immediate = req.add_immediate;
     rec->deferred = req.add_deferred;
 
-    ObjectQueue& q = queue_for(req.obj);
     DeclRecord* parent_rec = parent->find_record(req.obj);
-    if (parent_rec != nullptr && parent_rec->linked()) {
-      link_before(q, parent_rec, rec);
-    } else {
-      link_back(q, rec);
+    ObjectQueue& q =
+        parent_rec != nullptr ? *parent_rec->queue : queue_for(req.obj);
+    rec->queue = &q;
+    {
+      std::lock_guard<std::mutex> lock(q.mu);
+      if (parent_rec != nullptr && parent_rec->linked()) {
+        link_before(q, parent_rec, rec);
+        parent_rec->shadowed = true;
+      } else {
+        link_back(q, rec);
+      }
     }
     task->ordered_records_.push_back(rec);
   }
@@ -140,16 +187,17 @@ TaskNode* Serializer::create_task(TaskNode* parent,
   // Determine which immediate records are not yet enabled.
   for (DeclRecord* rec : task->ordered_records_) {
     if (rec->immediate == 0) continue;
-    ObjectQueue& q = queue_for(rec->obj);
+    ObjectQueue& q = *rec->queue;
+    std::lock_guard<std::mutex> lock(q.mu);
     if (!is_enabled(q, rec, rec->immediate)) {
       set_counted(q, rec, true);
       rec->wait_bits = rec->immediate;
-      ++task->start_pending_;
+      task->start_pending_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
-  ++outstanding_;
-  ++unstarted_;
+  outstanding_.fetch_add(1);
+  unstarted_.fetch_add(1);
   if (ctl != nullptr) {
     ctl->tasks_created.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t live =
@@ -160,7 +208,7 @@ TaskNode* Serializer::create_task(TaskNode* parent,
                                                 std::memory_order_relaxed)) {
     }
   }
-  if (task->start_pending_ == 0) {
+  if (task->start_pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     task->state_ = TaskState::kReady;
     listener_->on_task_ready(task);
   }
@@ -171,78 +219,89 @@ void Serializer::task_started(TaskNode* task) {
   JADE_ASSERT_MSG(task->state_ == TaskState::kReady,
                   "task_started on a task that is not ready");
   task->state_ = TaskState::kRunning;
-  JADE_ASSERT(unstarted_ > 0);
-  --unstarted_;
+  JADE_ASSERT(unstarted_.fetch_sub(1) > 0);
 }
 
 bool Serializer::update_spec(TaskNode* task,
                              const std::vector<AccessRequest>& requests) {
   JADE_ASSERT_MSG(task->state_ == TaskState::kRunning,
                   "with-cont outside a running task");
-  JADE_ASSERT(task->block_pending_ == 0);
-  in_update_ = task;
+  JADE_ASSERT(task->block_pending_.load(std::memory_order_relaxed) == 0);
+  // Conversion guard: a concurrent reevaluation cannot report this task
+  // unblocked while its records convert; the return value carries it.
+  task->block_pending_.store(1, std::memory_order_relaxed);
 
-  std::vector<ObjectId> touched_queues;
-  for (const AccessRequest& req : requests) {
-    DeclRecord* rec = task->find_record(req.obj);
-    if (rec == nullptr) {
-      std::ostringstream os;
-      os << "with-cont names object " << req.obj << " which task '"
-         << task->name()
-         << "' never declared; new rights cannot be added mid-task (their "
-            "queue position would violate the serial order)";
-      throw SpecUpdateError(os.str());
-    }
+  std::vector<ObjectQueue*> touched_queues;
+  try {
+    for (const AccessRequest& req : requests) {
+      DeclRecord* rec = task->find_record(req.obj);
+      if (rec == nullptr) {
+        std::ostringstream os;
+        os << "with-cont names object " << req.obj << " which task '"
+           << task->name()
+           << "' never declared; new rights cannot be added mid-task (their "
+              "queue position would violate the serial order)";
+        throw SpecUpdateError(os.str());
+      }
+      ObjectQueue& q = *rec->queue;
+      std::lock_guard<std::mutex> lock(q.mu);
 
-    // Retirements first, so `no_rd(o); ...` frees successors even when the
-    // same update also converts other bits of the same object.
-    if (req.remove != 0) {
-      if (weaken_record(queue_for(req.obj), rec, req.remove))
-        touched_queues.push_back(req.obj);
-    }
+      // Retirements first, so `no_rd(o); ...` frees successors even when the
+      // same update also converts other bits of the same object.
+      if (req.remove != 0) {
+        if (weaken_record(q, rec, req.remove)) touched_queues.push_back(&q);
+      }
 
-    const std::uint8_t held = rec->effective();
-    const std::uint8_t want_imm = req.add_immediate;
-    const std::uint8_t want_def = req.add_deferred;
-    if ((want_imm | want_def) & static_cast<std::uint8_t>(~held)) {
-      std::ostringstream os;
-      os << "with-cont on object " << req.obj << " requests '"
-         << access::bits_name(
-                static_cast<std::uint8_t>(want_imm | want_def))
-         << "' but task '" << task->name() << "' holds only '"
-         << access::bits_name(held)
-         << "' — with-cont may only convert previously deferred rights or "
-            "retire rights";
-      throw SpecUpdateError(os.str());
-    }
+      const std::uint8_t held = rec->effective();
+      const std::uint8_t want_imm = req.add_immediate;
+      const std::uint8_t want_def = req.add_deferred;
+      if ((want_imm | want_def) & static_cast<std::uint8_t>(~held)) {
+        std::ostringstream os;
+        os << "with-cont on object " << req.obj << " requests '"
+           << access::bits_name(
+                  static_cast<std::uint8_t>(want_imm | want_def))
+           << "' but task '" << task->name() << "' holds only '"
+           << access::bits_name(held)
+           << "' — with-cont may only convert previously deferred rights or "
+              "retire rights";
+        throw SpecUpdateError(os.str());
+      }
 
-    // Convert deferred -> immediate (rd/wr/cm on a df_* right); converting
-    // an already-immediate bit is a harmless no-op.
-    rec->deferred &= static_cast<std::uint8_t>(~want_imm);
-    rec->immediate |= want_imm;
-    // Downgrade immediate -> deferred (documented extension: release the
-    // right now, reconvert later; other tasks are unaffected since the
-    // effective bits do not change).
-    const std::uint8_t downgrade =
-        static_cast<std::uint8_t>(want_def & rec->immediate);
-    rec->immediate &= static_cast<std::uint8_t>(~downgrade);
-    rec->deferred |= downgrade;
+      // Convert deferred -> immediate (rd/wr/cm on a df_* right); converting
+      // an already-immediate bit is a harmless no-op.
+      rec->deferred &= static_cast<std::uint8_t>(~want_imm);
+      rec->immediate |= want_imm;
+      // Downgrade immediate -> deferred (documented extension: release the
+      // right now, reconvert later; other tasks are unaffected since the
+      // effective bits do not change).
+      const std::uint8_t downgrade =
+          static_cast<std::uint8_t>(want_def & rec->immediate);
+      rec->immediate &= static_cast<std::uint8_t>(~downgrade);
+      rec->deferred |= downgrade;
 
-    if (want_imm != 0) {
-      ObjectQueue& q = queue_for(req.obj);
-      JADE_ASSERT(!rec->counted);
-      if (rec->linked() && !is_enabled(q, rec, rec->immediate)) {
-        set_counted(q, rec, true);
-        rec->wait_bits = rec->immediate;
-        ++task->block_pending_;
+      if (want_imm != 0) {
+        JADE_ASSERT(!rec->counted);
+        if (rec->linked() && !is_enabled(q, rec, rec->immediate)) {
+          set_counted(q, rec, true);
+          rec->wait_bits = rec->immediate;
+          task->block_pending_.fetch_add(1, std::memory_order_relaxed);
+        }
       }
     }
+  } catch (...) {
+    task->block_pending_.fetch_sub(1, std::memory_order_acq_rel);
+    throw;
   }
 
-  for (ObjectId obj : touched_queues) reevaluate(queue_for(obj));
-
-  in_update_ = nullptr;
-  return task->block_pending_ > 0;
+  Notices notices;
+  for (ObjectQueue* q : touched_queues) {
+    {
+      std::lock_guard<std::mutex> lock(q->mu);
+      reevaluate(*q, notices);
+    }
+    deliver(notices);
+  }
+  return task->block_pending_.fetch_sub(1, std::memory_order_acq_rel) != 1;
 }
 
 bool Serializer::acquire(TaskNode* task, ObjectId obj, std::uint8_t mode) {
@@ -255,9 +314,13 @@ bool Serializer::acquire(TaskNode* task, ObjectId obj, std::uint8_t mode) {
     // no created task holds a declaration, or a read while only readers do
     // (the object is immutable for as long as those records live — this is
     // how Figure 6's driver loop reads r[j] while update tasks hold rd(r)).
-    auto it = queues_.find(obj);
-    if (it == queues_.end() || it->second.records.empty()) return false;
-    if (mode == access::kRead && it->second.cnt_wc == 0) return false;
+    ObjectQueue* q = find_queue(obj);
+    if (q == nullptr) return false;
+    {
+      std::lock_guard<std::mutex> lock(q->mu);
+      if (q->records.empty()) return false;
+      if (mode == access::kRead && q->cnt_wc == 0) return false;
+    }
     throw UndeclaredAccessError(
         "the main task may not perform a '" +
         std::string(access::bits_name(mode)) + "' access to object " +
@@ -265,6 +328,7 @@ bool Serializer::acquire(TaskNode* task, ObjectId obj, std::uint8_t mode) {
         " while created tasks hold conflicting declarations; access it "
         "from a task with a declared right instead");
   }
+  // The rights check reads only fields this task's own thread writes.
   DeclRecord* rec = task->find_record(obj);
   if (rec == nullptr || (mode & static_cast<std::uint8_t>(~rec->immediate))) {
     std::ostringstream os;
@@ -280,13 +344,21 @@ bool Serializer::acquire(TaskNode* task, ObjectId obj, std::uint8_t mode) {
     throw UndeclaredAccessError(os.str());
   }
 
-  ObjectQueue& q = queue_for(obj);
+  ObjectQueue& q = *rec->queue;
   // Book the exercise before the enabledness check: a blocked acquisition
   // will touch the bytes as soon as it unblocks, so treating it as touched
   // already is the conservative direction for the speculation commit check
   // (spurious aborts, never missed conflicts).
   rec->exercised |= mode;
-  if (mode & (access::kWrite | access::kCommute)) ++q.write_epoch;
+  if (mode & (access::kWrite | access::kCommute))
+    q.write_epoch.fetch_add(1, std::memory_order_relaxed);
+  // The record was enabled for its immediate rights when they became
+  // immediate (task start or with-cont conversion), and since then only
+  // this task's own children can have linked ahead of it — which sets
+  // `shadowed`.  An unshadowed record is therefore still enabled.
+  if (!rec->shadowed && !(mode & access::kCommute)) return false;
+
+  std::lock_guard<std::mutex> lock(q.mu);
   if (!rec->linked() || is_enabled(q, rec, mode)) return false;
 
   // Records ahead of us can only belong to our own earlier-created children
@@ -295,33 +367,39 @@ bool Serializer::acquire(TaskNode* task, ObjectId obj, std::uint8_t mode) {
   JADE_ASSERT(!rec->counted);
   set_counted(q, rec, true);
   rec->wait_bits = mode;
-  ++task->block_pending_;
+  task->block_pending_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 void Serializer::complete_task(TaskNode* task) {
   JADE_ASSERT_MSG(task->state_ == TaskState::kRunning,
                   "complete_task on a task that is not running");
-  JADE_ASSERT_MSG(task->block_pending_ == 0,
+  JADE_ASSERT_MSG(task->block_pending_.load(std::memory_order_relaxed) == 0,
                   "complete_task on a blocked task");
   task->state_ = TaskState::kCompleted;
 
-  std::vector<ObjectId> touched;
+  Notices notices;
   for (DeclRecord* rec : task->ordered_records_) {
-    if (rec->linked()) {
-      unlink(queue_for(rec->obj), rec);
-      touched.push_back(rec->obj);
+    ObjectQueue& q = *rec->queue;
+    {
+      std::lock_guard<std::mutex> lock(q.mu);
+      if (!rec->linked()) continue;
+      unlink(q, rec);
+      reevaluate(q, notices);
     }
+    deliver(notices);
   }
-  for (ObjectId obj : touched) reevaluate(queue_for(obj));
-  if (!task->is_root()) --outstanding_;
+  if (!task->is_root()) outstanding_.fetch_sub(1);
 
   if (TenantCtl* ctl = task->tenant_) {
     ctl->tasks_completed.fetch_add(1, std::memory_order_relaxed);
     // `live` can never transiently hit 0 while the tenant still has work:
     // every creator of a tenant task is itself a live tenant task (or the
     // program root being created right now, counted before this runs).
-    if (ctl->live.fetch_sub(1, std::memory_order_relaxed) == 1 &&
+    // acq_rel: tasks of one tenant complete on several threads, and the
+    // owner may free `ctl` once quiesced, so every other completion's
+    // touches of `ctl` must happen before on_quiesce.
+    if (ctl->live.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
         ctl->on_quiesce) {
       ctl->on_quiesce(*ctl);
     }
@@ -333,14 +411,16 @@ void Serializer::abort_attempt(TaskNode* task) {
                   "abort_attempt on a task that is not running");
   JADE_ASSERT(!task->is_root());
   for (DeclRecord* rec : task->ordered_records_) {
+    ObjectQueue& q = *rec->queue;
+    std::lock_guard<std::mutex> lock(q.mu);
     if (rec->counted) {
-      set_counted(queue_for(rec->obj), rec, false);
+      set_counted(q, rec, false);
       rec->wait_bits = 0;
     }
   }
-  task->block_pending_ = 0;
+  task->block_pending_.store(0, std::memory_order_relaxed);
   task->state_ = TaskState::kReady;
-  ++unstarted_;
+  unstarted_.fetch_add(1);
 }
 
 bool Serializer::spec_eligible(TaskNode* task,
@@ -348,13 +428,11 @@ bool Serializer::spec_eligible(TaskNode* task,
   if (task->state_ != TaskState::kPending || task->speculating_) return false;
   if (contested != nullptr) contested->clear();
   for (DeclRecord* rec : task->ordered_records_) {
+    ObjectQueue& q = *rec->queue;
+    std::lock_guard<std::mutex> lock(q.mu);
     if (!rec->counted) continue;
     // A waiting commute right needs the token machinery; never speculate it.
     if (rec->wait_bits & access::kCommute) return false;
-    auto it = queues_.find(rec->obj);
-    JADE_ASSERT(it != queues_.end());
-    // Walking `records` is read-only; map values are stable.
-    auto& q = const_cast<ObjectQueue&>(it->second);
     bool contested_here = false;
     for (DeclRecord* p = q.records.front(); p != nullptr && p != rec;
          p = q.records.next_of(p)) {
@@ -378,7 +456,7 @@ bool Serializer::spec_eligible(TaskNode* task,
       // bytes, so it never invalidates a snapshot.
     }
     if (contested_here && contested != nullptr)
-      contested->push_back(rec->obj);
+      contested->push_back(q.obj);
   }
   return true;
 }
@@ -404,8 +482,12 @@ void Serializer::spec_commit(TaskNode* task) {
 }
 
 std::uint64_t Serializer::write_epoch(ObjectId obj) const {
-  auto it = queues_.find(obj);
-  return it == queues_.end() ? 0 : it->second.write_epoch;
+  const ObjectQueue* q = find_queue(obj);
+  return q == nullptr ? 0 : q->write_epoch.load(std::memory_order_relaxed);
+}
+
+void Serializer::bump_write_epoch(ObjectId obj) {
+  queue_for(obj).write_epoch.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool Serializer::is_enabled(ObjectQueue& q, DeclRecord* rec,
@@ -430,11 +512,9 @@ bool Serializer::is_enabled(ObjectQueue& q, DeclRecord* rec,
   return true;
 }
 
-void Serializer::reevaluate(ObjectQueue& q) {
+void Serializer::reevaluate(ObjectQueue& q, Notices& out) {
   if (q.cnt_counted == 0) return;  // nobody is waiting on this queue
   std::uint8_t prior = 0;
-  std::vector<TaskNode*> now_ready;
-  std::vector<TaskNode*> now_unblocked;
   for (DeclRecord* p = q.records.front(); p != nullptr;
        p = q.records.next_of(p)) {
     // Once the scanned prefix holds a write — or both a read and a commute —
@@ -449,25 +529,25 @@ void Serializer::reevaluate(ObjectQueue& q) {
     if (p->counted && !access::conflicts(prior, p->wait_bits)) {
       set_counted(q, p, false);
       TaskNode* t = p->task;
+      // Whoever drops a counter to 0 (here, or a guard's holder) notifies.
       if (t->state_ == TaskState::kPending) {
-        JADE_ASSERT(t->start_pending_ > 0);
-        if (--t->start_pending_ == 0) {
+        const std::uint32_t before =
+            t->start_pending_.fetch_sub(1, std::memory_order_acq_rel);
+        JADE_ASSERT(before > 0);
+        if (before == 1) {
           t->state_ = TaskState::kReady;
-          now_ready.push_back(t);
+          out.ready.push_back(t);
         }
       } else {
         JADE_ASSERT(t->state_ == TaskState::kRunning);
-        JADE_ASSERT(t->block_pending_ > 0);
-        if (--t->block_pending_ == 0 && t != in_update_) {
-          now_unblocked.push_back(t);
-        }
+        const std::uint32_t before =
+            t->block_pending_.fetch_sub(1, std::memory_order_acq_rel);
+        JADE_ASSERT(before > 0);
+        if (before == 1) out.unblocked.push_back(t);
       }
     }
     prior |= p->effective();
   }
-  // Notify after the scan so listener code observes a consistent queue.
-  for (TaskNode* t : now_ready) listener_->on_task_ready(t);
-  for (TaskNode* t : now_unblocked) listener_->on_task_unblocked(t);
 }
 
 bool Serializer::weaken_record(ObjectQueue& q, DeclRecord* rec,
@@ -525,13 +605,11 @@ void Serializer::set_counted(ObjectQueue& q, DeclRecord* rec, bool counted) {
 std::vector<std::pair<std::uint64_t, std::uint8_t>>
 Serializer::queue_snapshot(ObjectId obj) const {
   std::vector<std::pair<std::uint64_t, std::uint8_t>> out;
-  auto it = queues_.find(obj);
-  if (it == queues_.end()) return out;
-  // for_each is non-const; queues_ map values are stable, const_cast is safe
-  // for a read-only walk.
-  auto& q = const_cast<ObjectQueue&>(it->second);
-  for (DeclRecord* p = q.records.front(); p != nullptr;
-       p = q.records.next_of(p)) {
+  ObjectQueue* q = find_queue(obj);
+  if (q == nullptr) return out;
+  std::lock_guard<std::mutex> lock(q->mu);
+  for (DeclRecord* p = q->records.front(); p != nullptr;
+       p = q->records.next_of(p)) {
     out.emplace_back(p->task->id(), p->effective());
   }
   return out;

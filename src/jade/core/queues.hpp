@@ -20,15 +20,24 @@
 // Jade ever needs, and it is what makes every execution equivalent to the
 // serial one.
 //
-// The serializer is engine-agnostic and single-threaded by contract: callers
-// (the engines) serialize calls with their own lock or handoff discipline.
+// The serializer is engine-agnostic and safe to call from several threads at
+// once.  Each object's queue has its own lock; an operation holds at most one
+// queue lock at a time (multi-object operations lock each queue in turn) and
+// calls no listener and no tenant on_quiesce while holding one.  A task's
+// waiting counters are atomics: an operation that links or converts several
+// records holds a +1 guard on the counter meanwhile, and whichever thread
+// drops it to 0 sends the ready or unblocked notice.  Engines that drive the
+// serializer from one thread (SimEngine, ClusterEngine) see exactly the
+// single-threaded behavior: the same queue order and the same notices in the
+// same order.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -44,12 +53,17 @@ namespace jade {
 class TaskContext;
 class TaskNode;
 struct TenantCtl;
+struct ObjectQueue;
 
 /// One task's declared access to one object, linked into that object's
 /// declaration queue.
 struct DeclRecord : IntrusiveNode {
   TaskNode* task = nullptr;
-  ObjectId obj = kInvalidObject;
+  /// The queue this record was linked into (stable for the serializer's
+  /// lifetime), so completion and the access check need no lookup.
+  ObjectQueue* queue = nullptr;
+  /// The declared object (its queue's).
+  ObjectId obj() const;
   std::uint8_t immediate = 0;  ///< rights the task may exercise now
   std::uint8_t deferred = 0;   ///< rights reserved for later conversion
 
@@ -69,7 +83,36 @@ struct DeclRecord : IntrusiveNode {
   /// A declared-but-unexercised write is what makes a successor speculable:
   /// the bytes it would contest have not been touched yet.
   std::uint8_t exercised = 0;
+  /// Set once a child of the owning task links a record ahead of this one.
+  /// Only the task's own descendants can ever link ahead of its record
+  /// (under a child's), so an unshadowed record that was enabled when its
+  /// rights became immediate stays enabled: the access check then needs no
+  /// queue lock.  Written and read by the owning task's thread only.
+  bool shadowed = false;
 };
+
+/// Per-object declaration queue with counters enabling O(1) answers in the
+/// common cases.  Without them, widely-read objects (e.g. the index
+/// structures every Cholesky task declares rd on) make enabledness checks
+/// and post-completion rescans linear in the number of outstanding tasks —
+/// quadratic overall.  `mu` guards everything but `obj` (fixed when the
+/// queue is made) and write_epoch.
+struct ObjectQueue {
+  std::mutex mu;
+  ObjectId obj = kInvalidObject;
+  IntrusiveList<DeclRecord> records;
+  /// Records whose effective bits include write or commute (block reads).
+  std::size_t cnt_wc = 0;
+  /// Records whose effective bits include read or write (block commutes).
+  std::size_t cnt_rw = 0;
+  /// Records some task is currently waiting on (counted == true).
+  std::size_t cnt_counted = 0;
+  /// Exercised write/commute acquisitions (plus committed speculative
+  /// writes) on this object — the speculation commit check's clock.
+  std::atomic<std::uint64_t> write_epoch{0};
+};
+
+inline ObjectId DeclRecord::obj() const { return queue->obj; }
 
 enum class TaskState : std::uint8_t {
   kPending,   ///< created; waiting for immediate records to enable
@@ -137,27 +180,36 @@ class TaskNode {
   friend class Serializer;
 
   /// Declarations at or below this count live inline in the TaskNode (no
-  /// allocation at all); beyond it they come from the serializer's arena.
-  /// 8 covers the overwhelming majority of tasks in the paper's workloads
-  /// (Cholesky external updates declare 4 objects).
+  /// allocation at all); the rest go to an array the task allocates once
+  /// at creation.  8 covers the overwhelming majority of tasks in the
+  /// paper's workloads (Cholesky external updates declare 4 objects).
   static constexpr std::size_t kInlineRecords = 8;
 
   std::uint64_t id_ = 0;
   std::string name_;
   TaskNode* parent_ = nullptr;
+  /// Written by the thread that drops start_pending_ to 0 (kReady) and by
+  /// the executing thread; read elsewhere only for a record still counted
+  /// against it, which the counter's acq_rel decrements order.
   TaskState state_ = TaskState::kPending;
-  std::uint32_t start_pending_ = 0;  ///< immediate records not yet enabled
-  std::uint32_t block_pending_ = 0;  ///< records a running task waits on
+  /// Immediate records not yet enabled (+1 while create_task links them).
+  std::atomic<std::uint32_t> start_pending_{0};
+  /// Records a running task waits on (+1 while update_spec converts them).
+  std::atomic<std::uint32_t> block_pending_{0};
   TenantCtl* tenant_ = nullptr;
   bool program_root_ = false;
   bool speculating_ = false;
   std::array<DeclRecord, kInlineRecords> inline_records_;
-  std::uint32_t inline_used_ = 0;
+  /// Records beyond the first kInlineRecords.
+  std::unique_ptr<DeclRecord[]> overflow_records_;
   std::vector<DeclRecord*> ordered_records_;
+  /// Next older task in the serializer's ownership list.
+  TaskNode* next_owned_ = nullptr;
 };
 
 /// Receives serializer notifications.  Called synchronously from within
-/// serializer operations; implementations must not re-enter the serializer.
+/// serializer operations, on the calling thread and with no queue lock held;
+/// implementations must not re-enter the serializer.
 class SerializerListener {
  public:
   virtual ~SerializerListener() = default;
@@ -269,19 +321,22 @@ class Serializer {
   /// Records an engine-applied write to `obj` outside acquire() — a
   /// committed speculation's buffered write — so concurrent speculations
   /// that snapshotted the old bytes fail their epoch check.
-  void bump_write_epoch(ObjectId obj) { ++queue_for(obj).write_epoch; }
+  void bump_write_epoch(ObjectId obj);
 
   /// Tasks created and not yet completed (excluding the root).
-  std::uint64_t outstanding() const { return outstanding_; }
+  std::uint64_t outstanding() const { return outstanding_.load(); }
 
   /// Tasks created but not yet started — the engine's throttling signal
   /// (Section 3.3, Figure 7e: "the original task is creating tasks faster
   /// than they are being consumed").  Deliberately excludes running tasks:
   /// suspended creators must not count toward the backlog they wait on.
-  std::uint64_t backlog() const { return unstarted_; }
+  /// Updated seq_cst, so a creator that registers as a waiter before
+  /// reading it pairs with a starter that lowers it before reading the
+  /// waiter count.
+  std::uint64_t backlog() const { return unstarted_.load(); }
 
   /// Total tasks ever created (excluding the root).
-  std::uint64_t tasks_created() const { return next_task_id_ - 1; }
+  std::uint64_t tasks_created() const { return next_task_id_.load() - 1; }
 
   /// Snapshot of an object's queue as (task id, effective bits) pairs, in
   /// serial order — used by tests and the task-graph bench.
@@ -290,7 +345,8 @@ class Serializer {
 
   /// Installs the ownership oracle consulted when a *tenant* task declares
   /// an access: given an object id, return the owning tenant (kSharedTenant
-  /// for host objects).  Called with the engine's serializer discipline held.
+  /// for host objects).  Called from create_task on the creating thread,
+  /// with no queue lock held.  Install it before the first create_task.
   void set_tenant_oracle(std::function<TenantId(ObjectId)> oracle) {
     tenant_oracle_ = std::move(oracle);
   }
@@ -303,26 +359,29 @@ class Serializer {
   void reset();
 
  private:
-  /// Per-object queue with counters enabling O(1) answers in the common
-  /// cases.  Without them, widely-read objects (e.g. the index structures
-  /// every Cholesky task declares rd on) make enabledness checks and
-  /// post-completion rescans linear in the number of outstanding tasks —
-  /// quadratic overall.
-  struct ObjectQueue {
-    IntrusiveList<DeclRecord> records;
-    /// Records whose effective bits include write or commute (block reads).
-    std::size_t cnt_wc = 0;
-    /// Records whose effective bits include read or write (block commutes).
-    std::size_t cnt_rw = 0;
-    /// Records some task is currently waiting on (counted == true).
-    std::size_t cnt_counted = 0;
-    /// Exercised write/commute acquisitions (plus committed speculative
-    /// writes) on this object — the speculation commit check's clock.
-    std::uint64_t write_epoch = 0;
+  /// Tasks a queue operation enabled or unblocked, collected under the
+  /// queue's lock and delivered (deliver()) once it is dropped.
+  struct Notices {
+    std::vector<TaskNode*> ready;
+    std::vector<TaskNode*> unblocked;
   };
 
-  ObjectQueue& queue_for(ObjectId obj);
+  /// Object-id → queue directory, split into independently locked shards so
+  /// that lookups never take a serializer-wide lock.  Map nodes never move,
+  /// so a queue's address is stable until reset().  A shard lock is never
+  /// held together with a queue lock.
+  static constexpr std::size_t kQueueShards = 64;
+  struct QueueShard {
+    std::mutex mu;
+    std::unordered_map<ObjectId, ObjectQueue> queues;
+  };
 
+  /// The queue of `obj`, created on first use.
+  ObjectQueue& queue_for(ObjectId obj);
+  /// The queue of `obj`, or nullptr when it was never declared.
+  ObjectQueue* find_queue(ObjectId obj) const;
+
+  // The helpers below run with q.mu held.
   void link_before(ObjectQueue& q, DeclRecord* pos, DeclRecord* rec);
   void link_back(ObjectQueue& q, DeclRecord* rec);
   void unlink(ObjectQueue& q, DeclRecord* rec);
@@ -333,8 +392,11 @@ class Serializer {
   bool is_enabled(ObjectQueue& q, DeclRecord* rec, std::uint8_t bits) const;
 
   /// Re-evaluates counted records in `q` after a record weakened or left;
-  /// fires ready/unblocked notifications for tasks whose counters reach 0.
-  void reevaluate(ObjectQueue& q);
+  /// collects the tasks whose counters reach 0 into `out`.
+  void reevaluate(ObjectQueue& q, Notices& out);
+
+  /// Fires the collected notices (no queue lock held) and clears them.
+  void deliver(Notices& notices);
 
   /// Removes bits from a record; unlinks it when no bits remain.  Returns
   /// true if the queue changed in a way that can enable successors.
@@ -342,30 +404,24 @@ class Serializer {
 
   void check_coverage(TaskNode* parent, const AccessRequest& req) const;
 
-  /// Hands out the task's next DeclRecord: an inline TaskNode slot while
-  /// they last, then a fresh arena slot.  Either way the address is stable
-  /// for the serializer's lifetime (TaskNodes are heap-pinned, the arena is
-  /// a deque), which the intrusive queue links require.
-  DeclRecord* new_record(TaskNode* task);
+  /// Frees every task on the ownership list.
+  void free_tasks();
 
   void make_root();
 
   SerializerListener* listener_;
   std::function<TenantId(ObjectId)> tenant_oracle_;
   TaskNode* root_;
-  std::vector<std::unique_ptr<TaskNode>> tasks_;
-  /// Overflow DeclRecords for tasks declaring more than kInlineRecords
-  /// objects.  Records are bump-allocated and live until the serializer
-  /// dies, matching the TaskNode lifetime policy (completed records are
-  /// unlinked, so dead records cost memory, never time).
-  std::deque<DeclRecord> record_arena_;
-  std::unordered_map<ObjectId, ObjectQueue> queues_;
-  std::uint64_t next_task_id_ = 1;
-  std::uint64_t outstanding_ = 0;
-  std::uint64_t unstarted_ = 0;
-  /// Task currently inside update_spec/acquire; its own unblock
-  /// notification is suppressed (the return value carries it).
-  TaskNode* in_update_ = nullptr;
+  /// Every task ever created, newest first: concurrent creators push with
+  /// one CAS, and reset() and destruction free the list.  TaskNodes stay
+  /// put for the serializer's lifetime, as do their records (inline, or
+  /// the task's overflow array), which the intrusive queue links require;
+  /// completed records are unlinked, so dead tasks cost memory, never time.
+  std::atomic<TaskNode*> tasks_{nullptr};
+  mutable std::array<QueueShard, kQueueShards> shards_;
+  std::atomic<std::uint64_t> next_task_id_{1};
+  std::atomic<std::uint64_t> outstanding_{0};
+  std::atomic<std::uint64_t> unstarted_{0};
 };
 
 }  // namespace jade

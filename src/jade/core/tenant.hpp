@@ -9,8 +9,8 @@
 //     so the serializer can reject cross-tenant declarations at task
 //     creation (the single chokepoint through which every access right
 //     enters a task graph);
-//   * accounting — created/completed/cancelled/live task counters, updated
-//     under the engine's serializer discipline;
+//   * accounting — created/completed/cancelled/live task counters, atomics
+//     the serializer and engines update from any engine thread;
 //   * quota — a live-task window (hi/lo watermarks) enforced through the
 //     shared ThrottleGate, giving each tenant a fair share of the engine's
 //     exploited concurrency;
@@ -37,9 +37,9 @@ namespace jade {
 struct TenantUnwind {};
 
 /// Shared control block of one tenant.  The serializer and the engines
-/// mutate it under the engine's serializer discipline (ThreadEngine: mu_;
-/// SimEngine/SerialEngine: single-threaded); the server and host threads
-/// read the atomics without that lock, which is why they are atomics.
+/// mutate it from engine threads (ThreadEngine: any worker, concurrently;
+/// the other engines: one thread at a time), and the server and host
+/// threads read it without any engine lock, which is why it is atomics.
 struct TenantCtl {
   explicit TenantCtl(TenantId id) : id(id) {}
 
@@ -71,8 +71,9 @@ struct TenantCtl {
   std::atomic<std::uint64_t> quota_hi{0};
   std::atomic<std::uint64_t> quota_lo{0};
 
-  /// Fires when `live` drops to 0 (under the engine's serializer lock).
-  /// Must only record state and notify — never re-enter the engine.
+  /// Fires when `live` drops to 0, on the thread that completed the
+  /// tenant's last task and with no serializer queue lock held.  Must only
+  /// record state and notify — never re-enter the engine.
   std::function<void(TenantCtl&)> on_quiesce;
 
   /// First exception that escaped one of this tenant's task bodies; the

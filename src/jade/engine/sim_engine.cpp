@@ -198,10 +198,10 @@ void SimEngine::task_process(TaskNode* task) {
     for (const DeclRecord* rec : task->ordered_records()) {
       if (rec->immediate != 0) {
         items.push_back(
-            {rec->obj, (rec->immediate & kExclusiveBits) != 0, true});
+            {rec->obj(), (rec->immediate & kExclusiveBits) != 0, true});
       } else if ((rec->deferred & access::kRead) &&
                  (rec->deferred & kExclusiveBits) == 0) {
-        items.push_back({rec->obj, false, false});
+        items.push_back({rec->obj(), false, false});
       }
     }
     park_until_fetched(t, fetch_objects(t, std::move(items)));

@@ -46,8 +46,8 @@ ThreadEngine::ThreadEngine(int workers, ThrottleConfig throttle)
   // Pre-sized so publishing a slot is a single release store of slot_count_
   // (stealers scan the prefix without locking).
   slots_.resize(kMaxSlots);
-  // Ownership oracle for tenant isolation: called from create_task under
-  // mu_; objects_mu_ is a leaf below it.
+  // Ownership oracle for tenant isolation: called from create_task on the
+  // creating thread, with no other engine lock held; objects_mu_ is a leaf.
   serializer_.set_tenant_oracle([this](ObjectId obj) {
     std::lock_guard<std::mutex> lock(objects_mu_);
     return objects_.info(obj).tenant;
@@ -211,10 +211,10 @@ void ThreadEngine::idle_park(ThreadSlot* slot,
 // --- dispatch --------------------------------------------------------------
 
 void ThreadEngine::on_task_ready(TaskNode* task) {
-  // Called with mu_ held, from inside a serializer call this engine made —
-  // always on a bound engine thread.  The task lands in that thread's own
-  // deque (LIFO locality for dependence chains); one idle thread, if any,
-  // is woken to steal.
+  // Called from inside a serializer call this engine made, with no lock
+  // held — always on a bound engine thread.  The task lands in that
+  // thread's own deque (LIFO locality for dependence chains); one idle
+  // thread, if any, is woken to steal.
   ThreadSlot* slot = tls_slot_;
   JADE_ASSERT_MSG(tls_engine_ == this && slot != nullptr,
                   "serializer callback on an unbound thread");
@@ -230,6 +230,10 @@ void ThreadEngine::on_task_ready(TaskNode* task) {
 }
 
 void ThreadEngine::on_task_unblocked(TaskNode* task) {
+  // The notice may arrive before the task starts waiting (its acquire or
+  // with-cont returned "must block" and the last blocker retired at once);
+  // wait_unblocked finds it in unblocked_ either way.
+  std::lock_guard<std::mutex> lock(mu_);
   unblocked_.insert(task);
   if (cv_waiters_ > 0) state_cv_.notify_all();
 }
@@ -316,6 +320,9 @@ void ThreadEngine::block_locked(TaskNode* task,
                                 bool spare, Wake&& wake) {
   if (spare) ensure_spare_worker();
   ++cv_waiters_;
+  // Pairs with execute()'s fence: the predicate below reads what completing
+  // threads changed before they looked for waiters.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   blocked_.insert(task);
   sleeping_threads_.fetch_add(1, std::memory_order_seq_cst);
   maybe_notify_all_asleep_locked();
@@ -394,9 +401,9 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
       // its body took, or commuting tasks would wait on them forever.  No
       // hand-off: sleepers race for freed tokens under state_cv_.
       commute_.release_all(serializer_.root(), [](TaskNode*, ObjectId) {});
-      if (!root_failed) serializer_.complete_task(serializer_.root());
       if (cv_waiters_ > 0) state_cv_.notify_all();
     }
+    if (!root_failed) serializer_.complete_task(serializer_.root());
     for (;;) {
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -443,17 +450,20 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
     metrics_.gauge(prefix + ".max_queue_depth")
         .set(static_cast<double>(depth[m]));
   }
+  stats_.tasks_created = serializer_.tasks_created();
   throttle_.publish(stats_);
   publish_runtime_stats();
   if (first_error_) std::rethrow_exception(first_error_);
 }
 
 void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
-  {
+  serializer_.task_started(task);
+  // Starting a task shrinks the backlog; suspended creators watch it.  The
+  // backlog decrement and this load are seq_cst, as are the creator's
+  // waiter registration and its backlog read: one side sees the other.
+  if (throttle_waiters_.load(std::memory_order_seq_cst) > 0) {
     std::lock_guard<std::mutex> lock(mu_);
-    serializer_.task_started(task);
-    // Starting a task shrinks the backlog; suspended creators watch it.
-    if (throttle_waiters_ > 0 && throttle_.backlog_drained(serializer_.backlog()))
+    if (throttle_.backlog_drained(serializer_.backlog()))
       state_cv_.notify_all();
   }
   task->assigned_machine = slot->machine;
@@ -491,23 +501,31 @@ void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
     failed = true;
   }
   task->body = nullptr;
-  bool drained = false;
-  {
+  if (slot->took_commute_token) {
+    slot->took_commute_token = false;
     std::lock_guard<std::mutex> lock(mu_);
     commute_.release_all(task, [](TaskNode*, ObjectId) {});
-    if (!failed) {
-      // Completion retires the task's records; newly enabled tasks land in
-      // this thread's deque via on_task_ready, which wakes a stealer for
-      // each — except the first, which this thread pops itself on the next
-      // find_task (see ThreadSlot::local_grants).
-      slot->local_grants = 1;
-      serializer_.complete_task(task);
-      slot->local_grants = 0;
-      drained = serializer_.outstanding() == 0;
-    }
-    // Blocked tasks (commute token, dependency waits) re-check their
-    // predicates; skipped entirely when nothing is blocked.
     if (cv_waiters_ > 0) state_cv_.notify_all();
+  }
+  bool drained = false;
+  if (!failed) {
+    // Completion retires the task's records; newly enabled tasks land in
+    // this thread's deque via on_task_ready, which wakes a stealer for
+    // each — except the first, which this thread pops itself on the next
+    // find_task (see ThreadSlot::local_grants).
+    slot->local_grants = 1;
+    serializer_.complete_task(task);
+    slot->local_grants = 0;
+    drained = serializer_.outstanding() == 0;
+  }
+  // Blocked tasks (tenant windows, dependency waits) re-check their
+  // predicates; skipped entirely when nothing is blocked.  The fence pairs
+  // with block_locked's: either the waiter's predicate sees this
+  // completion or this sees the waiter.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (cv_waiters_.load(std::memory_order_relaxed) > 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    state_cv_.notify_all();
   }
   if (drained) unpark_all();  // the drain thread may be parked
   if (failed) return;         // leave incomplete; run() aborts on first_error_
@@ -528,24 +546,21 @@ void ThreadEngine::spawn(TaskNode* parent,
   // program root for tenant T is a host task and is never gated or unwound —
   // a blocked dispatcher would stall every other tenant.
   TenantCtl* pctl = spawn_prologue(parent);
-  std::unique_lock<std::mutex> lock(mu_);
   TaskNode* task = serializer_.create_task(parent, requests, std::move(body),
                                            std::move(name), tenant);
-  ++stats_.tasks_created;
   const ThrottleGate::Gates gate =
       throttle_.gates(serializer_.backlog(), pctl);
-  const bool wait_needed = gate.any();
-  if (!wait_needed) lock.unlock();
   if (tracer_.enabled())
     tracer_.instant(obs::Subsystem::kEngine, "task.created", task->id(),
                     machine_of(parent), 0, task->name());
-  if (!wait_needed) return;
+  if (!gate.any()) return;
 
   // Too much exploited concurrency — globally (Section 3.3) or against this
   // tenant's quota window: suspend the creator until the pressure drains.
   // If every other thread ends up asleep with nothing ready, the backlog
   // can only drain through the creators themselves — give up throttling
   // rather than deadlock.
+  std::unique_lock<std::mutex> lock(mu_);
   throttle_.note_suspension();
   tracer_.instant(obs::Subsystem::kEngine, "throttle.suspend", parent->id(),
                   machine_of(parent),
@@ -591,8 +606,8 @@ void ThreadEngine::spawn(TaskNode* parent,
 
 void ThreadEngine::with_cont(TaskNode* task,
                              const std::vector<AccessRequest>& requests) {
-  std::unique_lock<std::mutex> lock(mu_);
   const bool must_block = serializer_.update_spec(task, requests);
+  std::unique_lock<std::mutex> lock(mu_);
   // no_cm also returns the engine-level exclusivity token early, so other
   // commuters proceed before this task completes.
   commute_.release_retired(task, requests, [](TaskNode*, ObjectId) {});
@@ -603,9 +618,11 @@ void ThreadEngine::with_cont(TaskNode* task,
 
 std::byte* ThreadEngine::acquire_bytes(TaskNode* task, ObjectId obj,
                                        std::uint8_t mode) {
-  {
+  // The access check itself takes no engine lock (nor, for an unshadowed
+  // non-commute record, a queue lock); mu_ only for a wait or a token.
+  const bool must_block = serializer_.acquire(task, obj, mode);
+  if (must_block || (mode & access::kCommute)) {
     std::unique_lock<std::mutex> lock(mu_);
-    const bool must_block = serializer_.acquire(task, obj, mode);
     if (must_block) wait_unblocked(task, lock);
     if (mode & access::kCommute) {
       // Commuters run in any order but touch the object exclusively; sleep
@@ -617,7 +634,10 @@ std::byte* ThreadEngine::acquire_bytes(TaskNode* task, ObjectId obj,
       for (;;) {
         if (ctl != nullptr && ctl->cancelled.load(std::memory_order_relaxed))
           throw TenantUnwind{};
-        if (commute_.try_acquire(obj, task)) break;
+        if (commute_.try_acquire(obj, task)) {
+          if (!task->is_root()) tls_slot_->took_commute_token = true;
+          break;
+        }
         if (first_error_) throw EngineAborting{};
         // Only a holder that is itself blocked needs this waiter to make
         // sure of a spare (see blocked_); a running holder frees the token
@@ -644,11 +664,13 @@ void ThreadEngine::wait_unblocked(TaskNode* task,
   // strictly ahead in some queue, so the waits-for graph is acyclic and
   // the unblock always arrives (or the run aborts on first_error_).
   JADE_TRACE("unblk-enter " << task->name());
-  block_locked(task, lock, /*spare=*/true, [this, task] {
-    return unblocked_.contains(task) || first_error_ != nullptr;
-  });
-  if (!unblocked_.contains(task)) throw EngineAborting{};
-  unblocked_.erase(task);
+  // The notice may already be here: the serializer delivers it without mu_.
+  if (!unblocked_.contains(task)) {
+    block_locked(task, lock, /*spare=*/true, [this, task] {
+      return unblocked_.contains(task) || first_error_ != nullptr;
+    });
+  }
+  if (unblocked_.erase(task) == 0) throw EngineAborting{};
   JADE_TRACE("unblk-exit " << task->name());
 }
 

@@ -4,10 +4,15 @@
 // the host's cache-coherent memory) provides the shared address space, so
 // the runtime "only needs to synchronize the computation" (Section 1).
 //
-// The execution path is decomposed so the one global mutex guards only what
-// is global by contract — the Serializer, which is single-threaded by
-// design — and nothing else (docs/PERFORMANCE.md spells out the hierarchy):
+// The execution path is decomposed so that creating, starting, checking and
+// completing a task take no engine-wide lock (docs/PERFORMANCE.md spells out
+// the hierarchy):
 //
+//   * The Serializer locks each object's declaration queue separately and
+//     is called from any engine thread; its ready notices push straight
+//     into the calling thread's deque.  The engine mutex mu_ guards only
+//     blocked-task coordination: unblock delivery, commute tokens, throttle
+//     waits and the first error.
 //   * Ready-task dispatch runs through per-thread Chase–Lev work-stealing
 //     deques (support/work_steal_deque.hpp).  A task enabled by thread T is
 //     pushed to T's own deque and executed LIFO for locality; idle threads
@@ -106,12 +111,16 @@ class ThreadEngine : public Engine, private SerializerListener {
     WorkStealDeque<TaskNode*> deque;
     Parker parker;
 
-    /// Set (under mu_) around complete_task: the completing thread is about
-    /// to call find_task, so the first task its completion enables needs no
-    /// wakeup — it will be popped locally.  Without this, every step of a
+    /// Set around complete_task: the completing thread is about to call
+    /// find_task, so the first task its completion enables needs no wakeup
+    /// — it will be popped locally.  Without this, every step of a
     /// dependence chain wakes a stealer that migrates the chain, and two
     /// threads ping-pong it with a futex round-trip per task.
     std::uint32_t local_grants = 0;
+    /// Set when the running task took a commute token: its completion then
+    /// takes mu_ to return the tokens.  Tasks never migrate mid-body, so
+    /// the executing thread's slot owns this.
+    bool took_commute_token = false;
 
     // Owner-thread-only cells (no sharing until the post-join fold).
     double charged = 0;
@@ -139,7 +148,8 @@ class ThreadEngine : public Engine, private SerializerListener {
 
   void worker_loop(ThreadSlot* slot);
   /// Runs one ready task to completion on `slot`'s thread.  Takes mu_ only
-  /// around the serializer transitions; the body runs with no lock held.
+  /// when a creator waits on the throttle, the task took a commute token,
+  /// or some task sleeps on state_cv_.
   void execute(TaskNode* task, ThreadSlot* slot);
   /// Pops the thread's own deque, then tries to steal; nullptr when no task
   /// could be obtained (the caller decides whether to park).
@@ -208,13 +218,16 @@ class ThreadEngine : public Engine, private SerializerListener {
   /// of run().  Mutated only under mu_.
   ThrottleGate throttle_;
 
-  // --- serializer domain: guarded by mu_ -----------------------------------
-  // mu_ serializes all Serializer calls (single-threaded by contract) plus
-  // the blocked-task coordination that is driven by serializer callbacks:
+  /// Internally locked per object queue; called without mu_ from every
+  /// engine thread.  Lock order: the serializer releases a queue lock
+  /// before calling a listener (on_task_unblocked takes mu_), and mu_ is
+  /// never held across a serializer call, so the two never nest.
+  Serializer serializer_;
+
+  // --- blocked-task coordination: guarded by mu_ ---------------------------
   // unblock delivery, commute-token ownership, throttle waits, first_error_.
   std::mutex mu_;
   std::condition_variable state_cv_;  ///< blocked tasks / throttled creators
-  Serializer serializer_;
   std::unordered_set<TaskNode*> unblocked_;
   /// Tasks asleep in a mid-body wait (block_locked).  A commute waiter
   /// whose token holder is not among them needs no spare worker: the
@@ -230,12 +243,13 @@ class ThreadEngine : public Engine, private SerializerListener {
   /// on state_cv_ and race for a freed token, so the table's FIFO wait
   /// queues stay unused.
   CommuteTokenTable commute_;
-  /// Threads currently waiting on state_cv_; notifications are skipped
-  /// entirely when zero, so unblocked hot paths never broadcast.
-  int cv_waiters_ = 0;
+  /// Threads currently waiting on state_cv_ (changed under mu_, read
+  /// without it); notifications are skipped entirely when zero, so the
+  /// unblocked hot paths never take mu_.
+  std::atomic<int> cv_waiters_{0};
   /// Creators currently suspended in the throttle loop (subset of
-  /// cv_waiters_); task_started only notifies when one exists.
-  int throttle_waiters_ = 0;
+  /// cv_waiters_); execute() takes mu_ to notify only when one exists.
+  std::atomic<int> throttle_waiters_{0};
   std::vector<std::thread> workers_;
   /// True once run() has executed; the next run() resets the scheduling
   /// state for a fresh graph (objects and buffers persist).

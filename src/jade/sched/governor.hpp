@@ -312,8 +312,8 @@ class SpeculationGovernor {
     att.contested = std::move(contested);
     for (const DeclRecord* rec : task->ordered_records()) {
       if (rec->immediate == 0 || rec->immediate == access::kCommute) continue;
-      att.epochs.emplace_back(rec->obj, ser.write_epoch(rec->obj));
-      att.shadows.emplace_back(rec->obj, read(rec->obj));
+      att.epochs.emplace_back(rec->obj(), ser.write_epoch(rec->obj()));
+      att.shadows.emplace_back(rec->obj(), read(rec->obj()));
     }
   }
 

@@ -163,16 +163,19 @@ void JadeServer::close(Session& s) {
 }
 
 void JadeServer::note_quiesced(SessionState outcome, double latency_seconds) {
-  // Engine serializer discipline (or mu_ for never-launched sessions):
-  // calls are serialized per engine, and the histogram is touched nowhere
-  // else while the server runs.
+  // Engine threads complete different tenants' last tasks in parallel (and
+  // never-launched sessions quiesce under mu_): the counters are atomic,
+  // the histogram takes its own leaf lock.
   switch (outcome) {
     case SessionState::kCompleted: m_completed_->add(1); break;
     case SessionState::kFailed: m_failed_->add(1); break;
     case SessionState::kCancelled: m_cancelled_->add(1); break;
     default: break;
   }
-  if (latency_seconds > 0) m_latency_->observe(latency_seconds);
+  if (latency_seconds > 0) {
+    std::lock_guard<std::mutex> lock(latency_mu_);
+    m_latency_->observe(latency_seconds);
+  }
 }
 
 void JadeServer::enqueue_launch(Launch l) {

@@ -115,8 +115,8 @@ class JadeServer {
   void cancel(Session& s);
   void close(Session& s);
   /// Engine-side quiescence accounting: latency histogram + outcome
-  /// counters.  Called from Session::on_quiesce under the engine's
-  /// serializer discipline.
+  /// counters.  Called from Session::on_quiesce on whichever engine thread
+  /// completed the tenant's last task, concurrently for different tenants.
   void note_quiesced(SessionState outcome, double latency_seconds);
 
   void enqueue_launch(Launch launch);
@@ -157,6 +157,8 @@ class JadeServer {
   obs::Counter* m_completed_ = nullptr;
   obs::Counter* m_failed_ = nullptr;
   obs::Counter* m_cancelled_ = nullptr;
+  /// Serializes m_latency_ updates (leaf lock: nothing is taken under it).
+  std::mutex latency_mu_;
   obs::Histogram* m_latency_ = nullptr;
 };
 

@@ -78,8 +78,8 @@ void Session::rethrow_failure() const {
 }
 
 void Session::on_quiesce() {
-  // Engine context, under the serializer discipline: record and notify
-  // only — never back into the engine.
+  // Engine context (the thread that completed the tenant's last task):
+  // record and notify only — never back into the engine.
   const double latency =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     submit_time_)

@@ -2,6 +2,8 @@
 // coverage enforcement, and parent/child interleaving rules.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <vector>
 
 #include "jade/core/runtime.hpp"
@@ -193,6 +195,38 @@ TEST_P(HierarchyTest, CoverageViolationInGrandchild) {
                      });
       }),
       HierarchyViolationError);
+}
+
+TEST_P(HierarchyTest, AccessBeforeAndAfterCreatingChildren) {
+  // The access check skips the queue while no child of the task has linked
+  // a record ahead of the task's own on that object.  A child on y leaves
+  // x's check unaffected; a child on x makes the next access to x wait for
+  // it, and the parent must see the child's write.
+  Runtime rt(config_for(GetParam()));
+  auto x = rt.alloc<std::int64_t>(1, "x");
+  auto y = rt.alloc<std::int64_t>(1, "y");
+  std::atomic<std::int64_t> seen{-1};
+  rt.run([&](TaskContext& ctx) {
+    ctx.withonly(
+        [&](AccessDecl& d) {
+          d.rd_wr(x);
+          d.rd_wr(y);
+        },
+        [x, y, &seen](TaskContext& t) {
+          t.read_write(x)[0] = 1;
+          t.withonly([&](AccessDecl& d) { d.rd_wr(y); },
+                     [y](TaskContext& c) { c.read_write(y)[0] += 10; });
+          t.read_write(x)[0] += 1;  // x is not shadowed: no wait
+          t.withonly([&](AccessDecl& d) { d.rd_wr(x); },
+                     [x](TaskContext& c) { c.read_write(x)[0] *= 10; });
+          const std::int64_t v = t.read(x)[0];  // waits for the child
+          seen.store(v, std::memory_order_relaxed);
+          t.read_write(x)[0] = v + 5;
+        });
+  });
+  EXPECT_EQ(seen.load(), 20);
+  EXPECT_EQ(rt.get(x)[0], 25);
+  EXPECT_EQ(rt.get(y)[0], 10);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEngines, HierarchyTest,

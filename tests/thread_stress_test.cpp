@@ -1,6 +1,7 @@
 // ThreadEngine-specific concurrency tests: the sharded buffer table, the
 // determinism contract under real parallelism (results must equal the
-// SerialEngine's bit-for-bit), the throttle deadlock-escape, and
+// SerialEngine's bit-for-bit, also with many tasks creating children into
+// shared queues at once), the throttle deadlock-escape, and
 // compensating-worker growth: when every pool thread is blocked, and its
 // absence when commuters merely queue behind a running token holder.
 //
@@ -10,9 +11,13 @@
 // only pool worker on a child that no existing thread can run.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <random>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -90,6 +95,88 @@ TEST(ThreadStress, ChainsAndCommutersMatchSerialExactly) {
   for (int workers : {1, 2, 8})
     EXPECT_EQ(run(EngineKind::kThread, workers), serial)
         << "workers=" << workers;
+}
+
+// Concurrent creators: sixteen parents run at once on eight workers, each
+// linking children into the same shared queues while others retire and
+// convert records there.  Every parent reads two shared objects, owns one,
+// and holds a deferred write on a shared accumulator; its children declare
+// two objects each.  The parent then converts the accumulator (waiting for
+// earlier parents), reads its own object (waiting for its children) and
+// retires one shared read early, which lets the root's later writer of that
+// object in.  Every seed must give the SerialEngine's bytes.
+TEST(ThreadStress, ConcurrentCreatorsMatchSerial) {
+  static constexpr int kParents = 16;
+  static constexpr int kChildren = 12;
+  using Word = std::uint64_t;
+  auto run = [&](EngineKind kind, std::uint64_t seed) {
+    RuntimeConfig cfg;
+    cfg.engine = kind;
+    cfg.threads = 8;
+    Runtime rt(std::move(cfg));
+    std::mt19937_64 rng(seed);
+    const Word init[2] = {rng() % 100, rng() % 100};
+    std::array<SharedRef<Word>, 2> shared = {
+        rt.alloc_init<Word>(std::span<const Word>(&init[0], 1), "s0"),
+        rt.alloc_init<Word>(std::span<const Word>(&init[1], 1), "s1")};
+    auto acc = rt.alloc<Word>(kParents + 1, "acc");
+    std::vector<SharedRef<Word>> own;
+    for (int p = 0; p < kParents; ++p) {
+      const Word v = rng() % 100;
+      own.push_back(rt.alloc_init<Word>(std::span<const Word>(&v, 1)));
+    }
+    std::vector<Word> inc(kParents * kChildren);
+    for (Word& v : inc) v = rng() % 1000;
+    rt.run([&](TaskContext& ctx) {
+      for (int p = 0; p < kParents; ++p) {
+        const SharedRef<Word> mine = own[static_cast<std::size_t>(p)];
+        const Word* incs = &inc[static_cast<std::size_t>(p * kChildren)];
+        ctx.withonly(
+            [&](AccessDecl& d) {
+              d.rd(shared[0]);
+              d.rd(shared[1]);
+              d.rd_wr(mine);
+              d.df_wr(acc);
+            },
+            [shared, mine, acc, incs, p](TaskContext& t) {
+              for (int j = 0; j < kChildren; ++j) {
+                const SharedRef<Word> s =
+                    shared[static_cast<std::size_t>(j % 2)];
+                const Word k = incs[j];
+                t.withonly(
+                    [&](AccessDecl& d) {
+                      d.rd(s);
+                      d.rd_wr(mine);
+                    },
+                    [s, mine, k](TaskContext& c) {
+                      auto m = c.read_write(mine);
+                      m[0] = m[0] * 3 + c.read(s)[0] + k;
+                    });
+              }
+              t.with_cont([&](AccessDecl& d) { d.wr(acc); });
+              auto m = t.read_write(mine);
+              m[0] = m[0] * 7 + 1;
+              t.with_cont([&](AccessDecl& d) { d.no_rd(shared[0]); });
+              m[0] += t.read(shared[1])[0];
+              auto a = t.write(acc);
+              a[0] = m[0];
+              a[static_cast<std::size_t>(p) + 1] = m[0];
+            });
+      }
+      for (const SharedRef<Word>& s : shared) {
+        ctx.withonly([&](AccessDecl& d) { d.rd_wr(s); },
+                     [s](TaskContext& t) { t.read_write(s)[0] *= 2; });
+      }
+    });
+    std::vector<Word> out;
+    for (const SharedRef<Word>& s : shared) out.push_back(rt.get(s)[0]);
+    for (Word v : rt.get(acc)) out.push_back(v);
+    for (const SharedRef<Word>& o : own) out.push_back(rt.get(o)[0]);
+    return out;
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed)
+    EXPECT_EQ(run(EngineKind::kThread, seed), run(EngineKind::kSerial, seed))
+        << "seed=" << seed;
 }
 
 // Throttle give-up (the Section 3.3 deadlock escape): the root takes the
