@@ -3,39 +3,65 @@
 // SimEngine must let an *unmodified* task body pause in virtual time in the
 // middle of its execution — that is exactly what a `with-cont` that converts
 // a deferred right does (Section 4.2).  C++ cannot suspend a plain function,
-// so each simulated activity runs on its own OS thread, with a strict
-// handoff protocol guaranteeing that at most one thread (either the
-// simulation coordinator or a single process) runs at any instant.  The
+// so each simulated activity runs as a fiber: a `ucontext` with its own
+// stack, switched to and from on the one OS thread that runs the
+// simulation.  At most one fiber (or the coordinator) runs at any instant,
+// and a park is a plain context switch with no OS thread involved.  The
 // result behaves like coroutines with full stacks: deterministic, and host
 // parallelism plays no role in the simulated timing.
+//
+// Stacks come from a StackPool owned by the Simulation: each is a
+// guard-paged `mmap` block that a finished process hands back for the next
+// one to reuse.  The fiber's saved context lives at the top of its stack
+// block, so a Process (kept until the simulation ends) stays small.
 #pragma once
 
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "jade/support/time.hpp"
 
 namespace jade {
 
 class Simulation;
+struct Fiber;
+
+/// The guard-paged fiber stacks of one Simulation.  A stack is taken when
+/// a process first runs and given back when it finishes; every block is
+/// unmapped when the pool is destroyed.  Not thread-safe: a simulation runs
+/// on one thread at a time.
+class StackPool {
+ public:
+  StackPool() = default;
+  ~StackPool();
+
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+
+  Fiber* acquire();
+  void release(Fiber* f);
+
+ private:
+  std::vector<Fiber*> all_;  ///< every mapped block, for the destructor
+  std::vector<Fiber*> free_;
+};
 
 /// One cooperative activity.  Created via Simulation::spawn; never run
 /// directly.
 class Process {
  public:
   enum class State : std::uint8_t {
-    kCreated,   ///< thread not yet started
-    kRunning,   ///< owns the simulation (coordinator is waiting)
+    kCreated,   ///< fiber not yet started
+    kRunning,   ///< owns the simulation (its resumer is switched out)
     kParked,    ///< waiting to be resumed
-    kDone,      ///< body returned; thread joined or joinable
+    kDone,      ///< body returned; stack back in the pool
   };
 
   Process(Simulation* sim, std::string name, std::function<void()> body);
-  ~Process();
 
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
@@ -54,31 +80,23 @@ class Process {
  private:
   friend class Simulation;
 
-  /// Starts the underlying thread and runs the body until it first parks or
-  /// finishes.  Called by the coordinator.
-  void start();
+  /// Switches to this process (starting its fiber on first use) until it
+  /// parks or finishes.  Called by the coordinator, or by another process
+  /// (Simulation::abort); the caller's context is saved on its own stack.
+  void run_until_parked(StackPool& stacks);
 
-  /// Hands control to this (parked) process until it parks again or
-  /// finishes.  Called by the coordinator.
-  void run_until_parked();
-
-  /// Called from inside the process: yields control back to the coordinator
-  /// and blocks until resumed.
+  /// Called from inside the process: switches back to whoever resumed it
+  /// and returns when resumed again.
   void park();
 
-  void thread_main();
-  void join();
+  /// The fiber's entry: runs the body, then switches out for good.
+  static void fiber_main(unsigned hi, unsigned lo);
 
   Simulation* sim_;
   std::string name_;
   std::function<void()> body_;
-  std::thread thread_;
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
+  Fiber* fiber_ = nullptr;  ///< stack block while started and not done
   State state_ = State::kCreated;
-  bool go_ = false;          ///< process may run
-  bool yielded_ = false;     ///< process has handed control back
   bool abort_requested_ = false;  ///< next unpark unwinds instead of running
   bool abandoned_ = false;        ///< scheduled events for this process no-op
   std::uint64_t epoch_ = 0;

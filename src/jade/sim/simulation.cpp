@@ -13,10 +13,9 @@ Simulation::~Simulation() {
   // run() threw, or when an engine is destroyed mid-flight).
   tearing_down_ = true;
   for (auto& p : processes_) {
-    if (p->state() == Process::State::kParked) p->run_until_parked();
+    if (p->state() == Process::State::kParked) p->run_until_parked(stacks_);
   }
-  // Threads for kCreated processes were never launched; ~Process joins the
-  // rest.
+  // kCreated processes never took a stack; stacks_ unmaps the rest.
 }
 
 void Simulation::schedule(SimTime t, std::function<void()> fn) {
@@ -75,7 +74,7 @@ void Simulation::abort(Process* p) {
   JADE_ASSERT_MSG(p != current_, "a process cannot abort itself");
   switch (p->state()) {
     case Process::State::kCreated:
-      p->abandoned_ = true;  // thread never launched; spawn event no-ops
+      p->abandoned_ = true;  // never took a stack; spawn event no-ops
       break;
     case Process::State::kParked:
       p->abort_requested_ = true;
@@ -90,19 +89,12 @@ void Simulation::abort(Process* p) {
 void Simulation::run_process(Process* p) {
   Process* prev = current_;
   current_ = p;
-  if (p->state() == Process::State::kCreated) {
-    p->start();
-  } else {
-    p->run_until_parked();
-  }
+  p->run_until_parked(stacks_);
   current_ = prev;
   if (p->error_ && !first_error_) {
     first_error_ = p->error_;
     p->error_ = nullptr;
   }
-  // Reap finished processes promptly: long simulations spawn one process
-  // per task, and unjoined threads hold kernel resources until joined.
-  if (p->state() == Process::State::kDone) p->join();
 }
 
 void Simulation::run() {

@@ -1,11 +1,13 @@
 // The discrete-event simulation coordinator.
 //
-// Owns the virtual clock, the event queue and all processes.  Exactly one
-// thread runs at a time: the coordinator pops events in (time, sequence)
-// order; an event is either a plain callback or a "resume process P" action,
-// which hands control to P's thread until P parks again.  Because scheduling
-// order is deterministic and host threads never run concurrently, an entire
-// simulation is a deterministic function of its inputs.
+// Owns the virtual clock, the event queue, all processes and the pool of
+// their fiber stacks.  Exactly one activity runs at a time: the coordinator
+// pops events in (time, sequence) order; an event is either a plain
+// callback or a "resume process P" action, which switches to P's fiber
+// until P parks again.  Every process runs on the thread that called run(),
+// so a simulation occupies one OS thread however many processes it has.
+// Because scheduling order is deterministic, an entire simulation is a
+// deterministic function of its inputs.
 #pragma once
 
 #include <functional>
@@ -30,14 +32,15 @@ class Simulation {
   SimTime now() const { return now_; }
 
   /// Schedules a plain event.  Callable from the coordinator or from inside
-  /// a process (the handoff protocol makes this race-free).
+  /// a process.
   void schedule(SimTime t, std::function<void()> fn);
   void schedule_in(SimTime dt, std::function<void()> fn) {
     schedule(now_ + dt, std::move(fn));
   }
 
   /// Creates a process whose body starts running at time `at` (default: now).
-  /// The body runs on its own thread under the cooperative handoff protocol.
+  /// The body runs on its own fiber stack, taken from the pool when it first
+  /// runs and returned when it finishes.
   Process* spawn(std::string name, std::function<void()> body);
   Process* spawn_at(SimTime at, std::string name, std::function<void()> body);
 
@@ -85,13 +88,14 @@ class Simulation {
  private:
   friend class Process;
 
-  /// Hands control to `p` (starting its thread on first use) until it parks
-  /// or finishes, stashing any exception that escaped its body.
+  /// Switches to `p` (starting its fiber on first use) until it parks or
+  /// finishes, stashing any exception that escaped its body.
   void run_process(Process* p);
 
   EventQueue queue_;
   SimTime now_ = 0;
   Process* current_ = nullptr;
+  StackPool stacks_;  ///< unmapped after every process is destroyed
   std::vector<std::unique_ptr<Process>> processes_;
   std::uint64_t events_executed_ = 0;
   bool running_ = false;

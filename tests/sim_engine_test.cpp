@@ -3,6 +3,9 @@
 // scaling — the mechanisms of the paper's Sections 3.3 and 5.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+
 #include "jade/core/runtime.hpp"
 #include "jade/engine/sim_engine.hpp"
 #include "jade/mach/presets.hpp"
@@ -296,6 +299,56 @@ TEST(SimEngineConfig, RejectsBadContexts) {
   cfg.cluster = presets::ideal(2);
   cfg.sched.contexts_per_machine = 0;
   EXPECT_THROW(Runtime rt(cfg), ConfigError);
+}
+
+/// The OS threads of this process: the entries of /proc/self/task.
+std::size_t os_thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
+}
+
+TEST(SimEngineFibers, WholeRunOccupiesOneOsThread) {
+  // Every task parks mid-body: it fetches objects from other workstations
+  // and converts a deferred read with a with-continuation that waits for
+  // the other chain's writer.  Parked tasks hold fiber stacks, not threads,
+  // so the count taken inside every body equals the count before run().
+  Runtime rt(sim_config(presets::hetero_workstations(4)));
+  constexpr int kChains = 8;
+  constexpr int kLinks = 256;
+  std::vector<SharedRef<double>> objs;
+  for (int c = 0; c < kChains; ++c) objs.push_back(rt.alloc<double>(4));
+  const std::size_t before = os_thread_count();
+  std::size_t fewest = before;
+  std::size_t most = 0;
+  int ran = 0;
+  rt.run([&](TaskContext& ctx) {
+    for (int link = 0; link < kLinks; ++link) {
+      for (int c = 0; c < kChains; ++c) {
+        const auto own = objs[c];
+        const auto other = objs[(c + 1) % kChains];
+        ctx.withonly(
+            [&](AccessDecl& d) {
+              d.rd_wr(own);
+              d.df_rd(other);
+            },
+            [&, own, other](TaskContext& t) {
+              t.charge(1e3);
+              t.with_cont([&](AccessDecl& d) { d.rd(other); });
+              t.write(own)[0] += t.read(other)[0] + 1.0;
+              const std::size_t now = os_thread_count();
+              fewest = std::min(fewest, now);
+              most = std::max(most, now);
+              ++ran;
+            });
+      }
+    }
+  });
+  EXPECT_EQ(ran, kChains * kLinks);
+  EXPECT_EQ(fewest, before);
+  EXPECT_EQ(most, before);
 }
 
 }  // namespace

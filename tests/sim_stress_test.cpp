@@ -1,9 +1,13 @@
 // Stress and property tests for the discrete-event kernel: heavy process
-// churn (thread reaping), randomized timer programs checked against a
-// host-side model, and producer/consumer chains through park/resume.
+// churn (fiber stacks handed back to the pool and reused), randomized timer
+// programs checked against a host-side model, producer/consumer chains
+// through park/resume, Simulation::abort, and what a fiber must keep across
+// a park (deep stacks, exceptions being handled).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "jade/sim/simulation.hpp"
@@ -14,7 +18,7 @@ namespace {
 
 TEST(SimStress, ThousandsOfShortLivedProcesses) {
   // One process per "task", like SimEngine under a large program; finished
-  // threads must be reaped, not accumulated.
+  // processes hand their stacks back for the next ones to reuse.
   Simulation sim;
   int completed = 0;
   for (int i = 0; i < 5000; ++i) {
@@ -134,6 +138,110 @@ TEST(SimStress, DeterministicAcrossRepetitions) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+TEST(SimStress, AbortParkedProcessUnwindsItsStack) {
+  // Killed from a plain event and from another process (whose fiber then
+  // switches straight to the victim's): either way the victim's RAII
+  // destructors run at once on its own stack, and the resume it was owed
+  // becomes a no-op instead of a stale-resume error.
+  for (bool from_process : {false, true}) {
+    Simulation sim;
+    struct Guard {
+      bool* destroyed;
+      ~Guard() { *destroyed = true; }
+    };
+    bool destroyed = false;
+    bool ran_past_park = false;
+    Process* victim = sim.spawn("victim", [&] {
+      Guard guard{&destroyed};
+      sim.advance(10.0);  // owed resume at t = 10
+      ran_past_park = true;
+    });
+    auto kill = [&] {
+      ASSERT_EQ(victim->state(), Process::State::kParked);
+      sim.abort(victim);
+      EXPECT_TRUE(destroyed);
+      EXPECT_EQ(victim->state(), Process::State::kDone);
+    };
+    if (from_process) {
+      sim.spawn_at(1.0, "killer", kill);
+    } else {
+      sim.schedule(1.0, kill);
+    }
+    sim.run();
+    EXPECT_TRUE(destroyed);
+    EXPECT_FALSE(ran_past_park);
+    EXPECT_TRUE(victim->abandoned());
+    EXPECT_EQ(sim.parked_count(), 0u);
+    EXPECT_DOUBLE_EQ(sim.now(), 10.0);  // the owed event fired, as a no-op
+  }
+}
+
+TEST(SimStress, AbortCreatedProcessNeverStarts) {
+  Simulation sim;
+  bool started = false;
+  Process* late = sim.spawn_at(5.0, "late", [&] { started = true; });
+  sim.schedule(1.0, [&] { sim.abort(late); });
+  sim.run();
+  EXPECT_FALSE(started);
+  EXPECT_TRUE(late->abandoned());
+  EXPECT_EQ(late->state(), Process::State::kCreated);
+  EXPECT_EQ(sim.parked_count(), 0u);
+}
+
+/// Recurses `depth` frames, parks at the bottom, and on the way back up
+/// checks that every frame's locals survived the switches.
+bool recurse_and_park(Simulation& sim, int depth, int salt) {
+  volatile int frame[8];
+  for (auto& v : frame) v = depth * 31 + salt;
+  bool intact = true;
+  if (depth == 0) {
+    sim.advance(1.0);
+  } else {
+    intact = recurse_and_park(sim, depth - 1, salt);
+  }
+  for (const auto& v : frame) intact = intact && v == depth * 31 + salt;
+  return intact;
+}
+
+TEST(SimStress, DeepStacksParkAndResumeIntact) {
+  // Two processes park under ~2 000 frames each, interleaved, so both deep
+  // stacks are live at once; this guards the fiber stack size.
+  Simulation sim;
+  bool intact[2] = {false, false};
+  for (int i = 0; i < 2; ++i) {
+    sim.spawn("deep" + std::to_string(i), [&sim, &intact, i] {
+      intact[i] = recurse_and_park(sim, 2000, i);
+    });
+  }
+  sim.run();
+  EXPECT_TRUE(intact[0]);
+  EXPECT_TRUE(intact[1]);
+}
+
+TEST(SimStress, ParkInsideCatchHandlerKeepsItsException) {
+  // Each process parks while handling its own exception, and the other one
+  // throws and catches in between; a rethrow after the park must still see
+  // the process's own exception.
+  Simulation sim;
+  std::vector<std::string> seen;
+  for (int i = 0; i < 2; ++i) {
+    sim.spawn("p" + std::to_string(i), [&sim, &seen, i] {
+      try {
+        try {
+          throw std::runtime_error("e" + std::to_string(i));
+        } catch (const std::runtime_error&) {
+          sim.advance(1.0 + i);
+          throw;
+        }
+      } catch (const std::runtime_error& e) {
+        seen.push_back(e.what());
+      }
+    });
+  }
+  sim.run();
+  EXPECT_EQ(seen, (std::vector<std::string>{"e0", "e1"}));
 }
 
 }  // namespace
