@@ -12,7 +12,9 @@
 //   * churn — streams `--sessions` short programs (default 3000, 8
 //     microtasks each) through a 256-slot admission window with a bounded
 //     number outstanding, measuring sustained graph-submissions/sec,
-//     steady-state tasks/sec, and p50/p99 submit-to-quiescence latency.
+//     steady-state tasks/sec, and p50/p99 submit-to-quiescence latency;
+//     once every session is closed it records the TaskNodes the engine
+//     still holds (live_tasks_after), which stays bounded by the window.
 //
 //   * teardown_under_load — cancels a quarter of a running wave mid-flight,
 //     checks the victims land in kCancelled while bystanders complete, and
@@ -33,6 +35,7 @@
 #include <vector>
 
 #include "bench_format.hpp"
+#include "jade/engine/thread_engine.hpp"
 #include "jade/server/server.hpp"
 #include "jade/support/stats.hpp"
 
@@ -137,6 +140,7 @@ struct ChurnResult {
   double tasks_per_sec = 0;
   double p50 = 0;
   double p99 = 0;
+  std::size_t live_tasks_after = 0;  ///< TaskNodes held once all closed
 };
 
 /// Phase 2: a stream of short tenant programs through a small admission
@@ -189,6 +193,8 @@ ChurnResult run_churn(int sessions, int tasks_per_session) {
   }
   while (!outstanding.empty()) retire_front();
   r.wall_seconds = now_seconds() - t0;
+  r.live_tasks_after =
+      dynamic_cast<jade::ThreadEngine&>(srv.engine()).serializer().live_tasks();
   r.submissions_per_sec = sessions / r.wall_seconds;
   r.tasks_per_sec = static_cast<double>(total_tasks) / r.wall_seconds;
   r.p50 = percentile(latencies, 0.50);
@@ -298,7 +304,8 @@ void write_json(const std::string& path, const HoldResult& h,
       .num("submissions_per_sec", c.submissions_per_sec, 1)
       .num("tasks_per_sec", c.tasks_per_sec, 1)
       .num("latency_p50_s", c.p50, 5)
-      .num("latency_p99_s", c.p99, 5);
+      .num("latency_p99_s", c.p99, 5)
+      .count("live_tasks_after", static_cast<std::uint64_t>(c.live_tasks_after));
   report.add_row()
       .str("phase", "teardown_under_load")
       .count("hardware_cores", cores)
@@ -346,6 +353,7 @@ int main(int argc, char** argv) {
   ct.add_row({"tasks/sec", format_double(c.tasks_per_sec, 0)});
   ct.add_row({"latency p50 s", format_double(c.p50, 5)});
   ct.add_row({"latency p99 s", format_double(c.p99, 5)});
+  ct.add_row({"task nodes held after", std::to_string(c.live_tasks_after)});
   ct.print(std::cout);
 
   const TeardownResult t = run_teardown(400);

@@ -812,8 +812,8 @@ void ClusterEngine::pump_locked() {
         }
         std::vector<ObjectId> objs;
         objs.reserve(t->record_count());
-        for (const DeclRecord* r : t->ordered_records())
-          objs.push_back(r->obj());
+        for (const DeclRecord& r : t->ordered_records())
+          objs.push_back(r.obj());
         lists.push_back(std::move(objs));
         index_of.push_back(i);
       }
@@ -853,9 +853,9 @@ void ClusterEngine::dispatch_locked(TaskNode* task, int s) {
   TaskRec& rec = recs_[task];
 
   std::vector<FetchItem> items;
-  for (const DeclRecord* r : task->ordered_records())
-    if (r->immediate & (access::kRead | access::kWrite))
-      items.push_back({r->obj(), (r->immediate & access::kWrite) != 0, true});
+  for (const DeclRecord& r : task->ordered_records())
+    if (r.immediate & (access::kRead | access::kWrite))
+      items.push_back({r.obj(), (r.immediate & access::kWrite) != 0, true});
   if (!items.empty()) coherence_->fetch(w, items);
 
   DispatchMsg msg;
@@ -863,9 +863,9 @@ void ClusterEngine::dispatch_locked(TaskNode* task, int s) {
   msg.body = rec.body;
   msg.name = task->name();
   msg.args = rec.args;  // copied: a crash re-dispatch sends them again
-  for (const DeclRecord* r : task->ordered_records())
+  for (const DeclRecord& r : task->ordered_records())
     msg.objects.push_back(
-        make_ship_locked(task, r->obj(), w, rec, r->immediate));
+        make_ship_locked(task, r.obj(), w, rec, r.immediate));
   slot.channel->queue(FrameType::kDispatch, pack(msg));
 
   slot.running = task;

@@ -1,5 +1,6 @@
 #include "jade/core/queues.hpp"
 
+#include <new>
 #include <sstream>
 
 #include "jade/core/tenant.hpp"
@@ -8,8 +9,9 @@
 namespace jade {
 
 DeclRecord* TaskNode::find_record(ObjectId obj) {
-  for (DeclRecord* rec : ordered_records_)
-    if (rec->queue->obj == obj) return rec;
+  DeclRecord* recs = records();
+  for (std::uint32_t i = 0; i < nrecords_; ++i)
+    if (recs[i].queue->obj == obj) return &recs[i];
   return nullptr;
 }
 
@@ -19,34 +21,86 @@ Serializer::Serializer(SerializerListener* listener) : listener_(listener) {
 }
 
 void Serializer::make_root() {
-  root_ = new TaskNode();
+  root_ = std::make_unique<TaskNode>();
   root_->id_ = 0;
   root_->name_ = "root";
+  root_->root_ = true;
   root_->state_ = TaskState::kRunning;
-  tasks_.store(root_, std::memory_order_relaxed);
 }
 
-void Serializer::free_tasks() {
-  // Oldest first: freed newest first, a SimEngine run's tasks left the heap
-  // fragmented enough that every later run on a fresh engine grew the peak
-  // RSS again.
-  TaskNode* oldest = nullptr;
-  TaskNode* t = tasks_.exchange(nullptr, std::memory_order_acquire);
-  while (t != nullptr) {
-    TaskNode* next = t->next_owned_;
-    t->next_owned_ = oldest;
-    oldest = t;
-    t = next;
+TaskNode* Serializer::alloc_node() {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  if (spare_ == nullptr)
+    spare_ = released_.exchange(nullptr, std::memory_order_acquire);
+  if (spare_ == nullptr) {
+    TaskNode* chunk =
+        chunks_.emplace_back(std::make_unique<TaskNode[]>(kChunkNodes)).get();
+    for (std::size_t i = kChunkNodes; i-- > 0;) {
+      chunk[i].next_free_ = spare_;
+      spare_ = &chunk[i];
+    }
   }
-  while (oldest != nullptr) {
-    TaskNode* next = oldest->next_owned_;
-    delete oldest;
-    oldest = next;
+  TaskNode* node = spare_;
+  spare_ = node->next_free_;
+  node->next_free_ = nullptr;
+  return node;
+}
+
+void Serializer::release(TaskNode* task) {
+  JADE_ASSERT_MSG(task->state_ == TaskState::kCompleted && !task->root_,
+                  "release of a task that has not completed");
+  // A recycled node must be indistinguishable from a fresh one.
+  task->~TaskNode();
+  auto* node = new (task) TaskNode();
+  node->next_free_ = released_.load(std::memory_order_relaxed);
+  while (!released_.compare_exchange_weak(node->next_free_, node,
+                                          std::memory_order_release,
+                                          std::memory_order_relaxed)) {
   }
+}
+
+std::size_t Serializer::live_tasks() {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  if (TaskNode* got = released_.exchange(nullptr, std::memory_order_acquire)) {
+    TaskNode* tail = got;
+    while (tail->next_free_ != nullptr) tail = tail->next_free_;
+    tail->next_free_ = spare_;
+    spare_ = got;
+  }
+  std::size_t free = 0;
+  for (TaskNode* n = spare_; n != nullptr; n = n->next_free_) ++free;
+  return chunks_.size() * kChunkNodes - free;
+}
+
+std::size_t Serializer::queue_count() const {
+  std::size_t n = 0;
+  for (QueueShard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    n += shard.queues.size();
+  }
+  return n;
+}
+
+void Serializer::retire_queue(ObjectId obj) {
+  ObjectQueue* q = find_queue(obj);
+  if (q == nullptr) return;
+  {
+    std::lock_guard<std::mutex> lock(q->mu);
+    JADE_ASSERT_MSG(q->records.empty(),
+                    "retiring a declaration queue that still holds records");
+  }
+  QueueShard& shard = shards_[obj % kQueueShards];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  shard.queues.erase(obj);
 }
 
 void Serializer::reset() {
-  free_tasks();
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    chunks_.clear();
+    spare_ = nullptr;
+    released_.store(nullptr, std::memory_order_relaxed);
+  }
   for (QueueShard& shard : shards_) shard.queues.clear();
   next_task_id_.store(1);
   outstanding_.store(0);
@@ -54,7 +108,7 @@ void Serializer::reset() {
   make_root();
 }
 
-Serializer::~Serializer() { free_tasks(); }
+Serializer::~Serializer() = default;
 
 ObjectQueue& Serializer::queue_for(ObjectId obj) {
   QueueShard& shard = shards_[obj % kQueueShards];
@@ -121,49 +175,43 @@ TaskNode* Serializer::create_task(TaskNode* parent,
     }
   }
 
-  auto* task = new TaskNode();
-  task->id_ = next_task_id_.fetch_add(1, std::memory_order_relaxed);
-  task->name_ = name.empty() ? "task#" + std::to_string(task->id_)
-                             : std::move(name);
-  task->parent_ = parent;
-  task->tenant_ = ctl;
-  task->program_root_ = tenant != nullptr;
-  task->body = std::move(body);
-  // Creation guard: the task cannot be reported ready while its records
-  // are being linked and checked, whatever other threads retire meanwhile.
-  task->start_pending_.store(1, std::memory_order_relaxed);
-  if (requests.size() > TaskNode::kInlineRecords) {
-    task->overflow_records_ = std::make_unique<DeclRecord[]>(
-        requests.size() - TaskNode::kInlineRecords);
-  }
-  task->next_owned_ = tasks_.load(std::memory_order_relaxed);
-  while (!tasks_.compare_exchange_weak(task->next_owned_, task,
-                                       std::memory_order_release,
-                                       std::memory_order_relaxed)) {
-  }
-
+  // Specification pre-pass, also before any state changes.  Program roots
+  // are exempt from the coverage rule the way root children are: they begin
+  // a fresh program whose accesses their host parent (the server
+  // dispatcher, which declares nothing) never made.
+  const bool needs_cover = !parent->is_root() && !parent->program_root_;
   for (const AccessRequest& req : requests) {
     if (req.remove != 0) {
       throw SpecUpdateError(
           "no_rd/no_wr/no_cm are with-cont statements; they cannot appear in "
           "a withonly declaration");
     }
+    if (needs_cover && (req.add_immediate | req.add_deferred) != 0)
+      check_coverage(parent, req);
+  }
+
+  TaskNode* task = alloc_node();
+  task->id_ = next_task_id_.fetch_add(1, std::memory_order_relaxed);
+  task->name_ = name.empty() ? "task#" + std::to_string(task->id_)
+                             : std::move(name);
+  task->tenant_ = ctl;
+  task->program_root_ = tenant != nullptr;
+  task->body = std::move(body);
+  // Creation guard: the task cannot be reported ready while its records
+  // are being linked and checked, whatever other threads retire meanwhile.
+  task->start_pending_.store(1, std::memory_order_relaxed);
+  if (requests.size() > TaskNode::kInlineRecords)
+    task->overflow_records_ = std::make_unique<DeclRecord[]>(requests.size());
+  DeclRecord* recs = task->records();
+
+  for (const AccessRequest& req : requests) {
     const std::uint8_t bits =
         static_cast<std::uint8_t>(req.add_immediate | req.add_deferred);
     if (bits == 0) continue;
-    // Program roots are exempt from the coverage rule the way root children
-    // are: they begin a fresh program whose accesses their host parent (the
-    // server dispatcher, which declares nothing) never made.
-    if (!parent->is_root() && !parent->program_root_)
-      check_coverage(parent, req);
     JADE_ASSERT_MSG(task->find_record(req.obj) == nullptr,
                     "duplicate declaration for one object in one withonly");
 
-    const std::size_t n = task->ordered_records_.size();
-    DeclRecord* rec =
-        n < TaskNode::kInlineRecords
-            ? &task->inline_records_[n]
-            : &task->overflow_records_[n - TaskNode::kInlineRecords];
+    DeclRecord* rec = &recs[task->nrecords_];
     rec->task = task;
     rec->immediate = req.add_immediate;
     rec->deferred = req.add_deferred;
@@ -181,17 +229,18 @@ TaskNode* Serializer::create_task(TaskNode* parent,
         link_back(q, rec);
       }
     }
-    task->ordered_records_.push_back(rec);
+    ++task->nrecords_;
   }
 
   // Determine which immediate records are not yet enabled.
-  for (DeclRecord* rec : task->ordered_records_) {
-    if (rec->immediate == 0) continue;
-    ObjectQueue& q = *rec->queue;
+  for (std::uint32_t i = 0; i < task->nrecords_; ++i) {
+    DeclRecord& rec = recs[i];
+    if (rec.immediate == 0) continue;
+    ObjectQueue& q = *rec.queue;
     std::lock_guard<std::mutex> lock(q.mu);
-    if (!is_enabled(q, rec, rec->immediate)) {
-      set_counted(q, rec, true);
-      rec->wait_bits = rec->immediate;
+    if (!is_enabled(q, &rec, rec.immediate)) {
+      set_counted(q, &rec, true);
+      rec.wait_bits = rec.immediate;
       task->start_pending_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -208,6 +257,7 @@ TaskNode* Serializer::create_task(TaskNode* parent,
                                                 std::memory_order_relaxed)) {
     }
   }
+  listener_->on_task_created(task);
   if (task->start_pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     task->state_ = TaskState::kReady;
     listener_->on_task_ready(task);
@@ -379,7 +429,9 @@ void Serializer::complete_task(TaskNode* task) {
   task->state_ = TaskState::kCompleted;
 
   Notices notices;
-  for (DeclRecord* rec : task->ordered_records_) {
+  DeclRecord* recs = task->records();
+  for (std::uint32_t i = 0; i < task->nrecords_; ++i) {
+    DeclRecord* rec = &recs[i];
     ObjectQueue& q = *rec->queue;
     {
       std::lock_guard<std::mutex> lock(q.mu);
@@ -410,12 +462,14 @@ void Serializer::abort_attempt(TaskNode* task) {
   JADE_ASSERT_MSG(task->state_ == TaskState::kRunning,
                   "abort_attempt on a task that is not running");
   JADE_ASSERT(!task->is_root());
-  for (DeclRecord* rec : task->ordered_records_) {
-    ObjectQueue& q = *rec->queue;
+  DeclRecord* recs = task->records();
+  for (std::uint32_t i = 0; i < task->nrecords_; ++i) {
+    DeclRecord& rec = recs[i];
+    ObjectQueue& q = *rec.queue;
     std::lock_guard<std::mutex> lock(q.mu);
-    if (rec->counted) {
-      set_counted(q, rec, false);
-      rec->wait_bits = 0;
+    if (rec.counted) {
+      set_counted(q, &rec, false);
+      rec.wait_bits = 0;
     }
   }
   task->block_pending_.store(0, std::memory_order_relaxed);
@@ -427,16 +481,16 @@ bool Serializer::spec_eligible(TaskNode* task,
                                std::vector<ObjectId>* contested) const {
   if (task->state_ != TaskState::kPending || task->speculating_) return false;
   if (contested != nullptr) contested->clear();
-  for (DeclRecord* rec : task->ordered_records_) {
-    ObjectQueue& q = *rec->queue;
+  for (const DeclRecord& rec : task->ordered_records()) {
+    ObjectQueue& q = *rec.queue;
     std::lock_guard<std::mutex> lock(q.mu);
-    if (!rec->counted) continue;
+    if (!rec.counted) continue;
     // A waiting commute right needs the token machinery; never speculate it.
-    if (rec->wait_bits & access::kCommute) return false;
+    if (rec.wait_bits & access::kCommute) return false;
     bool contested_here = false;
-    for (DeclRecord* p = q.records.front(); p != nullptr && p != rec;
+    for (const DeclRecord* p = q.records.front(); p != nullptr && p != &rec;
          p = q.records.next_of(p)) {
-      if (!access::conflicts(p->effective(), rec->wait_bits)) continue;
+      if (!access::conflicts(p->effective(), rec.wait_bits)) continue;
       const std::uint8_t eff = p->effective();
       // A commuting predecessor writes at an unpredictable point in its
       // token-ordered turn; bytes can change under the snapshot silently.

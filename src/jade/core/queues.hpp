@@ -39,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -127,8 +128,7 @@ class TaskNode {
  public:
   std::uint64_t id() const { return id_; }
   const std::string& name() const { return name_; }
-  TaskNode* parent() const { return parent_; }
-  bool is_root() const { return parent_ == nullptr; }
+  bool is_root() const { return root_; }
   TaskState state() const { return state_; }
 
   /// The server tenant this task runs for, or nullptr for a host task.
@@ -152,17 +152,12 @@ class TaskNode {
   DeclRecord* find_record(ObjectId obj);
 
   /// Number of records (for tests/benches).
-  std::size_t record_count() const { return ordered_records_.size(); }
+  std::size_t record_count() const { return nrecords_; }
 
   /// Records in declaration order — deterministic, unlike map order, which
   /// matters wherever iteration order affects simulated timing.
-  const std::vector<DeclRecord*>& ordered_records() const {
-    return ordered_records_;
-  }
-
-  template <typename F>
-  void for_each_record(F&& f) const {
-    for (const DeclRecord* rec : ordered_records_) f(*rec);
+  std::span<const DeclRecord> ordered_records() const {
+    return {records(), nrecords_};
   }
 
   // --- engine-owned fields -------------------------------------------------
@@ -180,14 +175,24 @@ class TaskNode {
   friend class Serializer;
 
   /// Declarations at or below this count live inline in the TaskNode (no
-  /// allocation at all); the rest go to an array the task allocates once
-  /// at creation.  8 covers the overwhelming majority of tasks in the
-  /// paper's workloads (Cholesky external updates declare 4 objects).
+  /// allocation at all); a task declaring more keeps all of its records in
+  /// one array allocated at creation.  8 covers the overwhelming majority
+  /// of tasks in the paper's workloads (Cholesky external updates declare
+  /// 4 objects).
   static constexpr std::size_t kInlineRecords = 8;
+
+  DeclRecord* records() {
+    return overflow_records_ ? overflow_records_.get() : inline_records_.data();
+  }
+  const DeclRecord* records() const {
+    return overflow_records_ ? overflow_records_.get() : inline_records_.data();
+  }
 
   std::uint64_t id_ = 0;
   std::string name_;
-  TaskNode* parent_ = nullptr;
+  bool root_ = false;
+  bool program_root_ = false;
+  bool speculating_ = false;
   /// Written by the thread that drops start_pending_ to 0 (kReady) and by
   /// the executing thread; read elsewhere only for a record still counted
   /// against it, which the counter's acq_rel decrements order.
@@ -196,15 +201,13 @@ class TaskNode {
   std::atomic<std::uint32_t> start_pending_{0};
   /// Records a running task waits on (+1 while update_spec converts them).
   std::atomic<std::uint32_t> block_pending_{0};
+  std::uint32_t nrecords_ = 0;
   TenantCtl* tenant_ = nullptr;
-  bool program_root_ = false;
-  bool speculating_ = false;
   std::array<DeclRecord, kInlineRecords> inline_records_;
-  /// Records beyond the first kInlineRecords.
+  /// All of the task's records when it declares more than kInlineRecords.
   std::unique_ptr<DeclRecord[]> overflow_records_;
-  std::vector<DeclRecord*> ordered_records_;
-  /// Next older task in the serializer's ownership list.
-  TaskNode* next_owned_ = nullptr;
+  /// Next node on a free list of the serializer's pool (released or spare).
+  TaskNode* next_free_ = nullptr;
 };
 
 /// Receives serializer notifications.  Called synchronously from within
@@ -213,6 +216,10 @@ class TaskNode {
 class SerializerListener {
  public:
   virtual ~SerializerListener() = default;
+  /// A task was created and cannot be enabled yet: the last moment its
+  /// creator may read it when the engine recycles completed tasks, which
+  /// another thread may do before create_task returns.
+  virtual void on_task_created(TaskNode* /*task*/) {}
   /// All immediate records enabled; the engine may schedule the task.
   virtual void on_task_ready(TaskNode* task) = 0;
   /// A running task that blocked (with-cont conversion or accessor
@@ -230,18 +237,20 @@ class Serializer {
 
   /// The implicit main task (Section 3.3's "original task"); it owns every
   /// object and its children append at queue tails.
-  TaskNode* root() { return root_; }
+  TaskNode* root() { return root_.get(); }
 
   /// Creates a task with the given specification, as a child of `parent`
   /// (which must be running, or be the root).  Enforces the hierarchy rule:
   /// the child's rights per object must be covered by the parent's record.
-  /// Emits on_task_ready before returning if nothing blocks the task.
+  /// Emits on_task_created, then on_task_ready before returning if nothing
+  /// blocks the task.  Where the engine releases completed tasks, another
+  /// thread may have run, completed and released the returned node already.
   ///
   /// A non-null `tenant` makes the task a *program root* of that tenant;
   /// otherwise the task inherits the parent's tenant (if any).  Tenant tasks
   /// may only declare accesses to their own or shared objects (checked via
   /// the tenant oracle before any state changes — a TenantIsolationError
-  /// leaves the serializer untouched).
+  /// leaves the serializer untouched, as do the specification errors).
   TaskNode* create_task(TaskNode* parent,
                         const std::vector<AccessRequest>& requests,
                         std::function<void(TaskContext&)> body,
@@ -265,6 +274,13 @@ class Serializer {
 
   /// Retires all of the task's records and marks it completed.
   void complete_task(TaskNode* task);
+
+  /// Returns a completed task's node to the pool, which hands it out again
+  /// exactly as a fresh one.  The caller must hold the last reference: no
+  /// queue links it any more (completion unlinked its records), and the
+  /// engine touches it no further.  Lock-free, callable from any thread.
+  /// Engines that never release keep every node until reset().
+  void release(TaskNode* task);
 
   /// Fault injection (ft/): a running attempt of `task` was killed before
   /// completing.  Rewinds the task to kReady so the engine can re-dispatch
@@ -338,6 +354,19 @@ class Serializer {
   /// Total tasks ever created (excluding the root).
   std::uint64_t tasks_created() const { return next_task_id_.load() - 1; }
 
+  /// Created TaskNodes not yet released (the root, which lives outside the
+  /// pool, is not counted).  Walks the pool's free lists: for tests and
+  /// diagnostics, not for hot paths.
+  std::size_t live_tasks();
+
+  /// Declaration queues currently held (for tests and diagnostics).
+  std::size_t queue_count() const;
+
+  /// Drops `obj`'s declaration queue, which must hold no record (its last
+  /// declaring task has completed).  A later declaration of `obj` starts a
+  /// fresh queue.  No-op when the object has none.
+  void retire_queue(ObjectId obj);
+
   /// Snapshot of an object's queue as (task id, effective bits) pairs, in
   /// serial order — used by tests and the task-graph bench.
   std::vector<std::pair<std::uint64_t, std::uint8_t>> queue_snapshot(
@@ -351,11 +380,12 @@ class Serializer {
     tenant_oracle_ = std::move(oracle);
   }
 
-  /// Discards every task, record, and queue and recreates a fresh running
-  /// root, restoring the state of a newly constructed serializer (task ids
-  /// restart at 1, so an identical graph replays with identical ids).  The
-  /// engines call this between sequential runs on one reused instance; no
-  /// outstanding-task precondition — a failed run's leftovers are dropped.
+  /// Discards every task (released or not), record, and queue and
+  /// recreates a fresh running root, restoring the state of a newly
+  /// constructed serializer (task ids restart at 1, so an identical graph
+  /// replays with identical ids).  The engines call this between sequential
+  /// runs on one reused instance; no outstanding-task precondition — a
+  /// failed run's leftovers are dropped.
   void reset();
 
  private:
@@ -404,24 +434,33 @@ class Serializer {
 
   void check_coverage(TaskNode* parent, const AccessRequest& req) const;
 
-  /// Frees every task on the ownership list.
-  void free_tasks();
+  /// A fresh node from the pool: the spare list, else everything released
+  /// since the last refill, else a new chunk.
+  TaskNode* alloc_node();
 
   void make_root();
 
   SerializerListener* listener_;
   std::function<TenantId(ObjectId)> tenant_oracle_;
-  TaskNode* root_;
-  /// Every task ever created, newest first: concurrent creators push with
-  /// one CAS, and reset() and destruction free the list.  TaskNodes stay
-  /// put for the serializer's lifetime, as do their records (inline, or
-  /// the task's overflow array), which the intrusive queue links require;
-  /// completed records are unlinked, so dead tasks cost memory, never time.
-  std::atomic<TaskNode*> tasks_{nullptr};
+  std::unique_ptr<TaskNode> root_;
   mutable std::array<QueueShard, kQueueShards> shards_;
   std::atomic<std::uint64_t> next_task_id_{1};
   std::atomic<std::uint64_t> outstanding_{0};
   std::atomic<std::uint64_t> unstarted_{0};
+
+  // --- TaskNode pool -------------------------------------------------------
+  // Created tasks' nodes are carved kChunkNodes at a time, the first chunk
+  // at the first create_task, and never move, as the intrusive
+  // queue links require of their records.  release() pushes a completed
+  // node, reconstructed fresh, onto released_ with one CAS; alloc_node()
+  // takes the whole stack with one exchange when its spare list runs dry.
+  // Push-only plus take-all has no ABA.  Declared after shards_ so the
+  // chunks, and the task bodies they hold, are destroyed first.
+  static constexpr std::size_t kChunkNodes = 64;
+  std::mutex pool_mu_;  ///< guards chunks_ and spare_ (creators only)
+  std::vector<std::unique_ptr<TaskNode[]>> chunks_;
+  TaskNode* spare_ = nullptr;
+  std::atomic<TaskNode*> released_{nullptr};
 };
 
 }  // namespace jade

@@ -1,6 +1,7 @@
 #include "jade/engine/buffer_table.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "jade/support/error.hpp"
 
@@ -20,7 +21,9 @@ const BufferTable::Entry& BufferTable::entry_for(ObjectId id) const {
   Shard& s = shard_for(id);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.map.find(id);
-  JADE_ASSERT_MSG(it != s.map.end(), "unknown object buffer");
+  if (it == s.map.end())
+    throw StaleHandleError("object " + std::to_string(id) +
+                           " has no storage: it was released");
   // Erasure (destroy) only happens once the object is quiescent, so a live
   // caller's reference is stable.
   return it->second;

@@ -34,10 +34,11 @@ class BufferTable {
   /// address.  `id` must not already have a buffer.
   std::byte* create(ObjectId id, std::size_t size);
 
-  /// Stable data pointer; the object must exist.
+  /// Stable data pointer.  Every lookup of an id without a buffer (one
+  /// released by destroy()) throws StaleHandleError and changes nothing.
   std::byte* data(ObjectId id) const;
 
-  /// Buffer size in bytes; the object must exist.
+  /// Buffer size in bytes.
   std::size_t size(ObjectId id) const;
 
   /// Overwrites the buffer from `bytes` (sizes must match).

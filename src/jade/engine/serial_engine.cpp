@@ -17,14 +17,22 @@ ObjectId SerialEngine::allocate(TypeDescriptor type, std::string name,
   return id;
 }
 
+std::vector<std::byte>& SerialEngine::buffer(ObjectId obj) {
+  auto it = buffers_.find(obj);
+  if (it == buffers_.end())
+    throw StaleHandleError("object " + std::to_string(obj) +
+                           " has no storage: it was released");
+  return it->second;
+}
+
 void SerialEngine::put_bytes(ObjectId obj, std::span<const std::byte> data) {
-  auto& buf = buffers_.at(obj);
+  auto& buf = buffer(obj);
   JADE_ASSERT(data.size() == buf.size());
   std::copy(data.begin(), data.end(), buf.begin());
 }
 
 std::vector<std::byte> SerialEngine::get_bytes(ObjectId obj) {
-  return buffers_.at(obj);
+  return buffer(obj);
 }
 
 const ObjectInfo& SerialEngine::object_info(ObjectId obj) const {
@@ -35,10 +43,7 @@ void SerialEngine::set_object_tenant(ObjectId obj, TenantId tenant) {
   objects_.set_tenant(obj, tenant);
 }
 
-void SerialEngine::release_object(ObjectId obj) {
-  auto it = buffers_.find(obj);
-  if (it != buffers_.end()) buffers_.erase(it);
-}
+void SerialEngine::release_object(ObjectId obj) { buffers_.erase(obj); }
 
 void SerialEngine::run(std::function<void(TaskContext&)> root_body) {
   // Reset for sequential runs on one reused engine: a fresh graph, fresh
@@ -101,9 +106,11 @@ void SerialEngine::with_cont(TaskNode* task,
 
 std::byte* SerialEngine::acquire_bytes(TaskNode* task, ObjectId obj,
                                        std::uint8_t mode) {
+  // The buffer first, so a stale id fails before any state changes.
+  std::byte* bytes = buffer(obj).data();
   const bool must_block = serializer_.acquire(task, obj, mode);
   JADE_ASSERT_MSG(!must_block, "serial execution cannot block in acquire");
-  return buffers_.at(obj).data();
+  return bytes;
 }
 
 void SerialEngine::charge(TaskNode* task, double units) {

@@ -58,6 +58,8 @@ class SerialEngine : public Engine, private SerializerListener {
   void on_task_unblocked(TaskNode* task) override;
 
   void execute(TaskNode* task);
+  /// The object's bytes; StaleHandleError once it was released.
+  std::vector<std::byte>& buffer(ObjectId obj);
 
   ObjectTable objects_;
   std::unordered_map<ObjectId, std::vector<std::byte>> buffers_;

@@ -195,13 +195,13 @@ void SimEngine::task_process(TaskNode* task) {
   // but task start does not wait for them.
   if (!cluster_.shared_memory()) {
     std::vector<FetchItem> items;
-    for (const DeclRecord* rec : task->ordered_records()) {
-      if (rec->immediate != 0) {
+    for (const DeclRecord& rec : task->ordered_records()) {
+      if (rec.immediate != 0) {
         items.push_back(
-            {rec->obj(), (rec->immediate & kExclusiveBits) != 0, true});
-      } else if ((rec->deferred & access::kRead) &&
-                 (rec->deferred & kExclusiveBits) == 0) {
-        items.push_back({rec->obj(), false, false});
+            {rec.obj(), (rec.immediate & kExclusiveBits) != 0, true});
+      } else if ((rec.deferred & access::kRead) &&
+                 (rec.deferred & kExclusiveBits) == 0) {
+        items.push_back({rec.obj(), false, false});
       }
     }
     park_until_fetched(t, fetch_objects(t, std::move(items)));
@@ -220,6 +220,7 @@ void SimEngine::task_process(TaskNode* task) {
            (sim_.current() != nullptr && sim_.current()->abandoned());
   });
   finish_task(task);
+  t.process = nullptr;  // the body has ended; the Simulation frees it
 }
 
 void SimEngine::finish_task(TaskNode* task) {
@@ -674,6 +675,7 @@ void SimEngine::run(std::function<void(TaskContext&)> root_body) {
     TaskContext ctx(this, root);
     body(ctx);
     finish_task(root);
+    st(root).process = nullptr;
   });
 
   if (ft_enabled()) ft_->schedule_events();
@@ -773,6 +775,9 @@ void SimEngine::spec_process(TaskNode* task) {
     decide_speculation(task);
     post_serializer();
   }
+  // The body has ended and the Simulation frees it; a decision above may
+  // already have handed the task a new process.
+  if (t.process == sim_.current()) t.process = nullptr;
 }
 
 void SimEngine::decide_speculation(TaskNode* task) {
@@ -849,9 +854,9 @@ void SimEngine::abort_speculations_on(MachineId m) {
   // finished body's, since its writeback never happened.
   for (SimTask& t : sim_tasks_) {
     if (!t.spec.active || t.machine != m) continue;
-    Process* p = t.process;
+    Process* p = t.process;  // null once the body has ended
     abort_speculation(t.node, /*charge_history=*/false);
-    if (p != nullptr && p->state() != Process::State::kDone) sim_.abort(p);
+    if (p != nullptr) sim_.abort(p);
   }
 }
 

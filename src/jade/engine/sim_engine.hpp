@@ -115,6 +115,8 @@ class SimEngine : public Engine, private SerializerListener {
 
   struct SimTask {
     TaskNode* node = nullptr;
+    /// The attempt's process while its body has not ended (the Simulation
+    /// frees a finished one), else null.
     Process* process = nullptr;
     MachineId machine = -1;          ///< executing machine once assigned
     MachineId creator_machine = 0;   ///< where the withonly executed

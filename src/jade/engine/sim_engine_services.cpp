@@ -58,10 +58,8 @@ struct SimEngine::FtHooks final : RecoveryHooks {
     for (SimTask& t : e.sim_tasks_) {
       if (t.machine != m || !t.attempt.restartable) continue;
       if (t.node->state() == TaskState::kCompleted) continue;
-      if (t.process == nullptr ||
-          t.process->state() == Process::State::kDone ||
-          t.process->abandoned())
-        continue;
+      // A task whose body ended holds no process.
+      if (t.process == nullptr || t.process->abandoned()) continue;
       victims.push_back(t.node);
     }
     return victims;

@@ -105,8 +105,11 @@ void ThreadEngine::set_object_tenant(ObjectId obj, TenantId tenant) {
 }
 
 void ThreadEngine::release_object(ObjectId obj) {
-  // Metadata stays (stale ids keep failing loudly); only the bytes go.
+  // The bytes and the declaration queue go; the metadata stays, so a stale
+  // id fails as one (StaleHandleError) instead of reading as unknown.  The
+  // owning tenant has quiesced, so the queue holds no record.
   buffers_.destroy(obj);
+  serializer_.retire_queue(obj);
 }
 
 void ThreadEngine::notify_external() {
@@ -227,6 +230,15 @@ void ThreadEngine::on_task_ready(TaskNode* task) {
     return;
   }
   wake_one();
+}
+
+void ThreadEngine::on_task_created(TaskNode* task) {
+  // Creation and the tracer's record of it happen on the creator's thread,
+  // before a worker can run (and release) the task.  The creator's slot is
+  // the parent's machine_of().
+  if (tracer_.enabled())
+    tracer_.instant(obs::Subsystem::kEngine, "task.created", task->id(),
+                    tls_slot_->machine, 0, task->name());
 }
 
 void ThreadEngine::on_task_unblocked(TaskNode* task) {
@@ -530,10 +542,13 @@ void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
   if (drained) unpark_all();  // the drain thread may be parked
   if (failed) return;         // leave incomplete; run() aborts on first_error_
   ++slot->executed;
+  // Completion made no other thread a holder of the node: its records are
+  // unlinked, and nothing else keeps a completed task.  Read it, then recycle.
   tracer_.span_end(obs::Subsystem::kEngine, "task", task->id(), slot->machine,
                    task->charged_work);
   JADE_TRACE("exec-done " << task->name()
              << " backlog=" << slot->deque.size_estimate());
+  serializer_.release(task);
 }
 
 // --- TaskContext backend ---------------------------------------------------
@@ -546,13 +561,12 @@ void ThreadEngine::spawn(TaskNode* parent,
   // program root for tenant T is a host task and is never gated or unwound —
   // a blocked dispatcher would stall every other tenant.
   TenantCtl* pctl = spawn_prologue(parent);
-  TaskNode* task = serializer_.create_task(parent, requests, std::move(body),
-                                           std::move(name), tenant);
+  // The new task may run, complete and be recycled before create_task
+  // returns, so its node is not read here (on_task_created traces it).
+  serializer_.create_task(parent, requests, std::move(body), std::move(name),
+                          tenant);
   const ThrottleGate::Gates gate =
       throttle_.gates(serializer_.backlog(), pctl);
-  if (tracer_.enabled())
-    tracer_.instant(obs::Subsystem::kEngine, "task.created", task->id(),
-                    machine_of(parent), 0, task->name());
   if (!gate.any()) return;
 
   // Too much exploited concurrency — globally (Section 3.3) or against this
@@ -620,6 +634,9 @@ std::byte* ThreadEngine::acquire_bytes(TaskNode* task, ObjectId obj,
                                        std::uint8_t mode) {
   // The access check itself takes no engine lock (nor, for an unshadowed
   // non-commute record, a queue lock); mu_ only for a wait or a token.
+  // Global→local translation is pure buffer-table work, and the pointer is
+  // stable; it comes first so a stale id fails before any state changes.
+  std::byte* bytes = buffers_.data(obj);
   const bool must_block = serializer_.acquire(task, obj, mode);
   if (must_block || (mode & access::kCommute)) {
     std::unique_lock<std::mutex> lock(mu_);
@@ -652,9 +669,7 @@ std::byte* ThreadEngine::acquire_bytes(TaskNode* task, ObjectId obj,
       }
     }
   }
-  // Global→local translation is pure buffer-table work: by the time the
-  // serial order admits the access, the pointer is immutable.
-  return buffers_.data(obj);
+  return bytes;
 }
 
 void ThreadEngine::wait_unblocked(TaskNode* task,

@@ -84,6 +84,9 @@ class ThreadEngine : public Engine, private SerializerListener {
 
   void enable_tracing(const ObsConfig& cfg) override;
 
+  /// Exposed for white-box tests.
+  Serializer& serializer() { return serializer_; }
+
   /// Wakes every state_cv_ waiter so it re-evaluates its predicate against
   /// externally changed state (a tenant cancelled by the server while its
   /// creators are parked on the throttle or a commute token).
@@ -143,13 +146,15 @@ class ThreadEngine : public Engine, private SerializerListener {
     ThreadSlot* prev_slot_;
   };
 
+  void on_task_created(TaskNode* task) override;
   void on_task_ready(TaskNode* task) override;
   void on_task_unblocked(TaskNode* task) override;
 
   void worker_loop(ThreadSlot* slot);
-  /// Runs one ready task to completion on `slot`'s thread.  Takes mu_ only
-  /// when a creator waits on the throttle, the task took a commute token,
-  /// or some task sleeps on state_cv_.
+  /// Runs one ready task to completion on `slot`'s thread, then returns its
+  /// node to the serializer's pool (a failed task's stays until reset).
+  /// Takes mu_ only when a creator waits on the throttle, the task took a
+  /// commute token, or some task sleeps on state_cv_.
   void execute(TaskNode* task, ThreadSlot* slot);
   /// Pops the thread's own deque, then tries to steal; nullptr when no task
   /// could be obtained (the caller decides whether to park).

@@ -1,6 +1,8 @@
 #include "jade/obs/metrics.hpp"
 
 #include <cmath>
+#include <iterator>
+#include <memory>
 #include <ostream>
 
 #include "jade/support/error.hpp"
@@ -13,6 +15,20 @@ int bucket_index(double x) {
   const int i =
       static_cast<int>(std::ceil(std::log2(x / Histogram::kMin)));
   return std::clamp(i, 0, Histogram::kBuckets - 1);
+}
+/// A fresh metric's index in `store`: an erased one's slot, reset in
+/// place, or a new one at the end.
+template <class T>
+std::size_t take_slot(std::deque<T>& store, std::vector<std::size_t>& free) {
+  if (free.empty()) {
+    store.emplace_back();
+    return store.size() - 1;
+  }
+  const std::size_t i = free.back();
+  free.pop_back();
+  std::destroy_at(&store[i]);
+  std::construct_at(&store[i]);
+  return i;
 }
 }  // namespace
 
@@ -56,33 +72,24 @@ double Histogram::quantile(double q) const {
 
 MetricsRegistry::Entry& MetricsRegistry::find_or_create(std::string_view name,
                                                         Kind kind) {
-  auto it = by_name_.find(std::string(name));
+  auto it = by_name_.find(name);
   if (it != by_name_.end()) {
-    Entry& e = order_[it->second];
+    Entry& e = *it->second;
     JADE_ASSERT_MSG(e.kind == kind,
                     "metric re-registered as a different kind");
     return e;
   }
-  Entry e;
+  Entry& e = order_.emplace_back();
   e.name = std::string(name);
   e.kind = kind;
+  std::vector<std::size_t>& free = free_slots_[static_cast<std::size_t>(kind)];
   switch (kind) {
-    case Kind::kCounter:
-      e.index = counters_.size();
-      counters_.emplace_back();
-      break;
-    case Kind::kGauge:
-      e.index = gauges_.size();
-      gauges_.emplace_back();
-      break;
-    case Kind::kHistogram:
-      e.index = histograms_.size();
-      histograms_.emplace_back();
-      break;
+    case Kind::kCounter: e.index = take_slot(counters_, free); break;
+    case Kind::kGauge: e.index = take_slot(gauges_, free); break;
+    case Kind::kHistogram: e.index = take_slot(histograms_, free); break;
   }
-  by_name_.emplace(e.name, order_.size());
-  order_.push_back(std::move(e));
-  return order_.back();
+  by_name_.emplace(e.name, std::prev(order_.end()));
+  return e;
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
@@ -97,8 +104,17 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   return histograms_[find_or_create(name, Kind::kHistogram).index];
 }
 
+void MetricsRegistry::erase(std::string_view name) {
+  auto it = by_name_.find(name);
+  if (it == by_name_.end()) return;
+  const std::list<Entry>::iterator pos = it->second;
+  free_slots_[static_cast<std::size_t>(pos->kind)].push_back(pos->index);
+  by_name_.erase(it);
+  order_.erase(pos);
+}
+
 bool MetricsRegistry::has(std::string_view name) const {
-  return by_name_.contains(std::string(name));
+  return by_name_.contains(name);
 }
 
 CounterSet MetricsRegistry::counters(std::string_view prefix) const {

@@ -11,7 +11,7 @@
 // "ft.tasks_requeued".
 //
 // Metric objects returned by the find-or-create accessors are
-// reference-stable for the registry's lifetime, so hot paths look a metric
+// reference-stable until their name is erased, so hot paths look a metric
 // up once and keep the reference.  Counters are atomic (ThreadEngine
 // workers bump them concurrently); gauges and histograms must be updated
 // under the caller's synchronization (every current call site already holds
@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <iosfwd>
+#include <list>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -107,6 +108,12 @@ class MetricsRegistry {
   bool has(std::string_view name) const;
   std::size_t size() const { return order_.size(); }
 
+  /// Removes one metric (no-op when absent), in O(1).  Its storage is
+  /// reused by a later registration, so a registry whose families come and
+  /// go (a closed tenant's "tenant.<id>.*") stays bounded; references to
+  /// an erased metric must not be used again.
+  void erase(std::string_view name);
+
   /// Counter values (and gauges, rounded down) as an ordered CounterSet —
   /// the benches' uniform "name = value" view.  `prefix` filters (e.g.
   /// "ft." for the fault/recovery counters); empty takes everything.
@@ -130,8 +137,11 @@ class MetricsRegistry {
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
-  std::vector<Entry> order_;
-  std::unordered_map<std::string, std::size_t> by_name_;  ///< into order_
+  /// Storage indices freed by erase(), per Kind, reused first.
+  std::array<std::vector<std::size_t>, 3> free_slots_;
+  std::list<Entry> order_;
+  /// Keys view the names in order_, whose list nodes never move.
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> by_name_;
 };
 
 /// A prefix-qualified view of a registry, for per-namespace metric families
@@ -157,6 +167,7 @@ class MetricsScope {
   Histogram& histogram(std::string_view leaf) {
     return registry_->histogram(qualify(leaf));
   }
+  void erase(std::string_view leaf) { registry_->erase(qualify(leaf)); }
 
   std::string_view prefix() const {
     return std::string_view(buf_).substr(0, prefix_len_);

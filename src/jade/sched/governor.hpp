@@ -310,10 +310,10 @@ class SpeculationGovernor {
     att.active = true;
     att.charge_base = task->charged_work;
     att.contested = std::move(contested);
-    for (const DeclRecord* rec : task->ordered_records()) {
-      if (rec->immediate == 0 || rec->immediate == access::kCommute) continue;
-      att.epochs.emplace_back(rec->obj(), ser.write_epoch(rec->obj()));
-      att.shadows.emplace_back(rec->obj(), read(rec->obj()));
+    for (const DeclRecord& rec : task->ordered_records()) {
+      if (rec.immediate == 0 || rec.immediate == access::kCommute) continue;
+      att.epochs.emplace_back(rec.obj(), ser.write_epoch(rec.obj()));
+      att.shadows.emplace_back(rec.obj(), read(rec.obj()));
     }
   }
 

@@ -7,6 +7,12 @@
 
 namespace jade::server {
 
+namespace {
+std::string tenant_prefix(TenantId id) {
+  return "tenant." + std::to_string(id) + ".";
+}
+}  // namespace
+
 JadeServer::JadeServer(ServerConfig config)
     : config_(std::move(config)),
       runtime_(config_.runtime),
@@ -19,6 +25,10 @@ JadeServer::JadeServer(ServerConfig config)
   m_completed_ = &reg.counter("server.sessions_completed");
   m_failed_ = &reg.counter("server.sessions_failed");
   m_cancelled_ = &reg.counter("server.sessions_cancelled");
+  m_tasks_created_ = &reg.counter("server.tasks_created");
+  m_tasks_completed_ = &reg.counter("server.tasks_completed");
+  m_tasks_cancelled_ = &reg.counter("server.tasks_cancelled");
+  m_max_live_ = &reg.counter("server.max_live");
   m_latency_ = &reg.histogram("server.session_latency");
   if (live_) {
     dispatcher_ = std::thread([this] {
@@ -65,8 +75,7 @@ std::shared_ptr<Session> JadeServer::open_session(std::string name,
       options.expected_bytes));
   // Metric handles, resolved here so every registry mutation from the
   // server side is serialized under mu_.
-  obs::MetricsScope scope =
-      runtime_.metrics().scope("tenant." + std::to_string(id) + ".");
+  obs::MetricsScope scope = runtime_.metrics().scope(tenant_prefix(id));
   s->m_created_ = &scope.counter("tasks_created");
   s->m_completed_ = &scope.counter("tasks_completed");
   s->m_cancelled_ = &scope.counter("tasks_cancelled");
@@ -158,6 +167,17 @@ void JadeServer::close(Session& s) {
                            [&](const auto& a) { return a.get() == &s; });
     if (it != active_.end()) active_.erase(it);
   }
+  // The tenant's counters fold into the server totals and its family
+  // leaves the registry, so a resident server's registry stays the size of
+  // its open sessions.  They were last written before the terminal state.
+  m_tasks_created_->add(s.m_created_->value());
+  m_tasks_completed_->add(s.m_completed_->value());
+  m_tasks_cancelled_->add(s.m_cancelled_->value());
+  m_max_live_->set(std::max(m_max_live_->value(), s.m_max_live_->value()));
+  obs::MetricsScope scope = runtime_.metrics().scope(tenant_prefix(s.id()));
+  for (const char* leaf :
+       {"tasks_created", "tasks_completed", "tasks_cancelled", "max_live"})
+    scope.erase(leaf);
   sessions_.erase(s.id());
   promote_locked();
 }

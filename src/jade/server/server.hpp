@@ -29,8 +29,12 @@
 // re-split across active sessions (fair_share_windows) on every admit and
 // close, so each tenant's task creation throttles at its fair share and no
 // tenant starves.  Observability: per-tenant counters are published as
-// "tenant.<id>.*" at quiescence and session latency feeds the
-// "server.session_latency" histogram — all in the engine's own registry.
+// "tenant.<id>.*" at quiescence and live until close(), which folds them
+// into the "server.tasks_*" / "server.max_live" totals; session latency
+// feeds the "server.session_latency" histogram — all in the engine's own
+// registry.  A closed session leaves nothing behind but its objects'
+// metadata: its task nodes went back to the serializer's pool as they
+// completed, and its objects' bytes and declaration queues go at close.
 #pragma once
 
 #include <cstdint>
@@ -157,6 +161,11 @@ class JadeServer {
   obs::Counter* m_completed_ = nullptr;
   obs::Counter* m_failed_ = nullptr;
   obs::Counter* m_cancelled_ = nullptr;
+  /// Closed tenants' task counters, summed (max_live: the largest).
+  obs::Counter* m_tasks_created_ = nullptr;
+  obs::Counter* m_tasks_completed_ = nullptr;
+  obs::Counter* m_tasks_cancelled_ = nullptr;
+  obs::Counter* m_max_live_ = nullptr;
   /// Serializes m_latency_ updates (leaf lock: nothing is taken under it).
   std::mutex latency_mu_;
   obs::Histogram* m_latency_ = nullptr;

@@ -13,13 +13,15 @@
 // Stacks come from a StackPool owned by the Simulation: each is a
 // guard-paged `mmap` block that a finished process hands back for the next
 // one to reuse.  The fiber's saved context lives at the top of its stack
-// block, so a Process (kept until the simulation ends) stays small.
+// block, so a Process stays small; the Simulation frees it when it
+// finishes, or keeps it until the end if it was aborted.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <list>
 #include <string>
 #include <vector>
 
@@ -93,6 +95,8 @@ class Process {
   static void fiber_main(unsigned hi, unsigned lo);
 
   Simulation* sim_;
+  /// This process's position in Simulation::processes_, for its erasure.
+  std::list<Process>::iterator self_;
   std::string name_;
   std::function<void()> body_;
   Fiber* fiber_ = nullptr;  ///< stack block while started and not done

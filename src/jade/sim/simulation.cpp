@@ -12,8 +12,8 @@ Simulation::~Simulation() {
   // Cooperatively unwind any process that is still parked (this happens when
   // run() threw, or when an engine is destroyed mid-flight).
   tearing_down_ = true;
-  for (auto& p : processes_) {
-    if (p->state() == Process::State::kParked) p->run_until_parked(stacks_);
+  for (Process& p : processes_) {
+    if (p.state() == Process::State::kParked) p.run_until_parked(stacks_);
   }
   // kCreated processes never took a stack; stacks_ unmaps the rest.
 }
@@ -29,9 +29,10 @@ Process* Simulation::spawn(std::string name, std::function<void()> body) {
 
 Process* Simulation::spawn_at(SimTime at, std::string name,
                               std::function<void()> body) {
-  processes_.push_back(
-      std::make_unique<Process>(this, std::move(name), std::move(body)));
-  Process* p = processes_.back().get();
+  auto it = processes_.emplace(processes_.end(), this, std::move(name),
+                               std::move(body));
+  it->self_ = it;
+  Process* p = &*it;
   schedule(at, [this, p] {
     if (p->abandoned()) return;  // aborted before it ever started
     run_process(p);
@@ -95,6 +96,10 @@ void Simulation::run_process(Process* p) {
     first_error_ = p->error_;
     p->error_ = nullptr;
   }
+  // A process that finished on its own is owed no resume; nothing refers
+  // to it any more.
+  if (p->state() == Process::State::kDone && !p->abandoned())
+    processes_.erase(p->self_);
 }
 
 void Simulation::run() {
@@ -116,16 +121,16 @@ void Simulation::run() {
     std::ostringstream os;
     os << "simulation stalled: " << parked_count()
        << " process(es) parked with no pending events:";
-    for (const auto& p : processes_)
-      if (p->state() == Process::State::kParked) os << ' ' << p->name();
+    for (const Process& p : processes_)
+      if (p.state() == Process::State::kParked) os << ' ' << p.name();
     throw InternalError(os.str());
   }
 }
 
 std::size_t Simulation::parked_count() const {
   std::size_t n = 0;
-  for (const auto& p : processes_)
-    if (p->state() == Process::State::kParked) ++n;
+  for (const Process& p : processes_)
+    if (p.state() == Process::State::kParked) ++n;
   return n;
 }
 

@@ -11,9 +11,8 @@
 #pragma once
 
 #include <functional>
-#include <memory>
+#include <list>
 #include <string>
-#include <vector>
 
 #include "jade/sim/event_queue.hpp"
 #include "jade/sim/process.hpp"
@@ -40,7 +39,10 @@ class Simulation {
 
   /// Creates a process whose body starts running at time `at` (default: now).
   /// The body runs on its own fiber stack, taken from the pool when it first
-  /// runs and returned when it finishes.
+  /// runs and returned when it finishes.  A process whose body returns (or
+  /// throws) is destroyed at that final switch-out, so the pointer is valid
+  /// only while the process has not finished; an aborted process, which
+  /// may still be owed a resume event, lives until the Simulation ends.
   Process* spawn(std::string name, std::function<void()> body);
   Process* spawn_at(SimTime at, std::string name, std::function<void()> body);
 
@@ -78,6 +80,9 @@ class Simulation {
   /// diagnostics and by tests.
   std::size_t parked_count() const;
 
+  /// Processes held: not yet finished, or aborted (for tests).
+  std::size_t live_processes() const { return processes_.size(); }
+
   /// Total events executed; a cheap progress / cost metric for benches.
   std::uint64_t events_executed() const { return events_executed_; }
 
@@ -89,14 +94,16 @@ class Simulation {
   friend class Process;
 
   /// Switches to `p` (starting its fiber on first use) until it parks or
-  /// finishes, stashing any exception that escaped its body.
+  /// finishes, stashing any exception that escaped its body; a finished,
+  /// unaborted process is destroyed.
   void run_process(Process* p);
 
   EventQueue queue_;
   SimTime now_ = 0;
   Process* current_ = nullptr;
   StackPool stacks_;  ///< unmapped after every process is destroyed
-  std::vector<std::unique_ptr<Process>> processes_;
+  /// Held processes in creation order; each knows its own position.
+  std::list<Process> processes_;
   std::uint64_t events_executed_ = 0;
   bool running_ = false;
   bool tearing_down_ = false;

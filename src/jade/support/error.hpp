@@ -51,6 +51,14 @@ class TenantIsolationError : public JadeError {
   explicit TenantIsolationError(const std::string& what) : JadeError(what) {}
 };
 
+/// An object id whose storage is gone: the owning server session closed
+/// and released it.  Its metadata stays, so the id is recognised as stale
+/// rather than unknown; the failed access changes no state.
+class StaleHandleError : public JadeError {
+ public:
+  explicit StaleHandleError(const std::string& what) : JadeError(what) {}
+};
+
 /// Invalid runtime / platform configuration.
 class ConfigError : public JadeError {
  public:

@@ -2,6 +2,7 @@
 // cooperative processes, determinism and deadlock detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -208,6 +209,41 @@ TEST(Simulation, AdvanceZeroIsImmediateButYields) {
   sim.run();
   // advance(0) reschedules at the same time, behind b's start event.
   EXPECT_EQ(log, (std::vector<std::string>{"a-pre", "b", "a-post"}));
+}
+
+// Finished processes are freed at their final switch-out, so one long
+// Simulation's memory follows its live processes, not every process it ran.
+// An aborted process may still be owed a resume; it stays to the end.
+TEST(Simulation, FinishedProcessesAreFreed) {
+  Simulation sim;
+  int finished = 0;
+  std::size_t peak = 0;
+  sim.spawn("spawner", [&] {
+    for (int i = 0; i < 100000; ++i) {
+      sim.spawn("p", [&] {
+        sim.advance(1);
+        ++finished;
+      });
+      if (i % 64 == 63) sim.advance(2);  // lets the batch run to completion
+      peak = std::max(peak, sim.live_processes());
+    }
+  });
+  sim.run();
+  EXPECT_EQ(finished, 100000);
+  EXPECT_LE(peak, 66u);  // the spawner and one batch of 64
+  EXPECT_EQ(sim.live_processes(), 0u);
+}
+
+TEST(Simulation, AbortedProcessIsKeptUntilTheEnd) {
+  Simulation sim;
+  Process* victim = sim.spawn("victim", [&] { sim.advance(10); });
+  sim.spawn("killer", [&] {
+    sim.advance(1);
+    sim.abort(victim);  // parked, with its resume at t=10 still queued
+  });
+  sim.run();
+  EXPECT_TRUE(victim->abandoned());
+  EXPECT_EQ(sim.live_processes(), 1u);
 }
 
 }  // namespace

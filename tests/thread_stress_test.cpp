@@ -3,7 +3,9 @@
 // SerialEngine's bit-for-bit, also with many tasks creating children into
 // shared queues at once), the throttle deadlock-escape, and
 // compensating-worker growth: when every pool thread is blocked, and its
-// absence when commuters merely queue behind a running token holder.
+// absence when commuters merely queue behind a running token holder; and
+// the creator never touching a task that completed and was recycled before
+// its spawn returned.
 //
 // The scheduling tests are built so the interesting path is *forced*, not
 // raced into: the throttle test constructs a graph whose backlog cannot
@@ -18,11 +20,14 @@
 #include <cstdint>
 #include <random>
 #include <span>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "jade/core/runtime.hpp"
 #include "jade/engine/buffer_table.hpp"
+#include "jade/engine/thread_engine.hpp"
 
 namespace jade {
 namespace {
@@ -283,6 +288,49 @@ TEST(ThreadStress, CommuteContentionKeepsThreadsBounded) {
             static_cast<std::uint64_t>(kTasks) * (kTasks + 1) / 2);
   EXPECT_LE(rt.stats().compensating_workers,
             static_cast<std::uint64_t>(threads));
+}
+
+// Completed tasks go back to the serializer's pool at once, so a task that
+// a worker steals, runs and completes before its creator's spawn has
+// returned may already be a recycled node by then.  Nothing may read it
+// after create_task: the tracer takes the id and name while the task cannot
+// yet be enabled.  The timing is not forced (a throttled creator would
+// grow compensating workers without bound), but TSan needs no overlap: a
+// read after the deque push is unordered with the worker's release and is
+// reported whenever the task completes.  Elsewhere it reads a blank node.
+TEST(ThreadStress, TracedSpawnNeverReadsARecycledTask) {
+  constexpr int kTasks = 50000;
+  RuntimeConfig cfg;
+  cfg.engine = EngineKind::kThread;
+  cfg.threads = 4;
+  cfg.obs.trace = true;
+  Runtime rt(std::move(cfg));
+  std::vector<std::atomic<bool>> ran(kTasks);
+  int done_before_return = 0;
+  rt.run([&](TaskContext& ctx) {
+    for (int i = 0; i < kTasks; ++i) {
+      ctx.withonly([](AccessDecl&) {},
+                   [&ran, i](TaskContext&) {
+                     ran[static_cast<std::size_t>(i)].store(
+                         true, std::memory_order_relaxed);
+                   });
+      if (ran[static_cast<std::size_t>(i)].load(std::memory_order_relaxed))
+        ++done_before_return;
+    }
+  });
+  RecordProperty("done_before_spawn_returned", done_before_return);
+  std::vector<bool> created(kTasks + 1, false);
+  for (const obs::TraceEvent& e : rt.trace_events()) {
+    if (std::string_view(e.name) != "task.created") continue;
+    ASSERT_GE(e.id, 1u);
+    ASSERT_LE(e.id, static_cast<std::uint64_t>(kTasks));
+    EXPECT_EQ(e.detail, "task#" + std::to_string(e.id));
+    created[e.id] = true;
+  }
+  for (int i = 1; i <= kTasks; ++i) ASSERT_TRUE(created[i]) << i;
+  // Every node came back to the pool.
+  auto& engine = dynamic_cast<ThreadEngine&>(rt.engine());
+  EXPECT_EQ(engine.serializer().live_tasks(), 0u);
 }
 
 }  // namespace
