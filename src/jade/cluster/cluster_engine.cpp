@@ -261,7 +261,7 @@ void ClusterEngine::run(std::function<void(TaskContext&)> root_body) {
     std::lock_guard<std::mutex> lock(mu_);
     serializer_.reset();
     ready_.clear();
-    unblocked_.clear();
+    unblock_notices_.clear();
     recs_.clear();
     pending_.clear();
     tokens_ = CommuteTokenTable{};
@@ -269,7 +269,7 @@ void ClusterEngine::run(std::function<void(TaskContext&)> root_body) {
     aborting_ = false;
     first_error_ = nullptr;
     root_done_ = false;
-    root_unblocked_ = false;
+    root_unblock_noticed_ = false;
     stats_ = RuntimeStats{};
     stats_.machine_busy_seconds.assign(
         static_cast<std::size_t>(options_.workers), 0.0);
@@ -292,7 +292,7 @@ void ClusterEngine::run(std::function<void(TaskContext&)> root_body) {
       release_tokens_locked(serializer_.root());
       if (!aborting_) {
         serializer_.complete_task(serializer_.root());
-        drain_unblocked_locked();
+        drain_unblock_notices_locked();
         pump_locked();
       }
       root_done_ = true;
@@ -511,7 +511,7 @@ void ClusterEngine::handle_spawn_locked(int s, const SpawnMsg& msg) {
     abort_run_locked(std::current_exception());
     return;
   }
-  drain_unblocked_locked();
+  drain_unblock_notices_locked();
   pump_locked();
 }
 
@@ -577,12 +577,12 @@ void ClusterEngine::handle_with_cont_locked(int s, const WithContMsg& msg) {
       must_block = serializer_.update_spec(task, rpc.requests);
     } catch (const std::exception& e) {
       nak_with_cont(*slot.channel, task, classify_error(e), e.what());
-      drain_unblocked_locked();
+      drain_unblock_notices_locked();
       pump_locked();
       return;
     }
   }
-  drain_unblocked_locked();
+  drain_unblock_notices_locked();
   if (must_block) {
     rpc.stage = PendingRpc::Stage::kSerializer;
     pending_[task] = std::move(rpc);
@@ -727,16 +727,16 @@ void ClusterEngine::handle_task_error_locked(int s, const TaskErrorMsg& msg) {
 void ClusterEngine::on_task_ready(TaskNode* task) { ready_.push_back(task); }
 
 void ClusterEngine::on_task_unblocked(TaskNode* task) {
-  unblocked_.push_back(task);
+  unblock_notices_.push_back(task);
 }
 
-void ClusterEngine::drain_unblocked_locked() {
-  while (!unblocked_.empty()) {
+void ClusterEngine::drain_unblock_notices_locked() {
+  while (!unblock_notices_.empty()) {
     std::vector<TaskNode*> batch;
-    batch.swap(unblocked_);
+    batch.swap(unblock_notices_);
     for (TaskNode* task : batch) {
       if (task == serializer_.root()) {
-        root_unblocked_ = true;
+        root_unblock_noticed_ = true;
         root_cv_.notify_all();
         continue;
       }
@@ -780,7 +780,7 @@ void ClusterEngine::grant_token_locked(TaskNode* next) {
 void ClusterEngine::finish_task_locked(TaskNode* task) {
   serializer_.complete_task(task);
   recs_.erase(task);
-  drain_unblocked_locked();
+  drain_unblock_notices_locked();
   pump_locked();
   root_cv_.notify_all();  // backlog changed: throttled creators re-check
 }
@@ -983,7 +983,7 @@ void ClusterEngine::spawn_registered(TaskNode* parent,
   rethrow_if_aborting_locked();
   create_registered_locked(parent, requests, body, std::move(args),
                            std::move(name), placement);
-  drain_unblocked_locked();
+  drain_unblock_notices_locked();
   pump_locked();
   wake_event_loop();
 }
@@ -993,12 +993,12 @@ void ClusterEngine::with_cont(TaskNode* task,
   std::unique_lock<std::mutex> lock(mu_);
   release_retired_tokens_locked(task, requests);
   const bool must_block = serializer_.update_spec(task, requests);
-  drain_unblocked_locked();
+  drain_unblock_notices_locked();
   pump_locked();
   wake_event_loop();
   if (must_block) {
-    root_cv_.wait(lock, [&] { return root_unblocked_ || aborting_; });
-    root_unblocked_ = false;
+    root_cv_.wait(lock, [&] { return root_unblock_noticed_ || aborting_; });
+    root_unblock_noticed_ = false;
     rethrow_if_aborting_locked();
   }
 }

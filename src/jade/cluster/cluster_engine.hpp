@@ -169,7 +169,7 @@ class ClusterEngine : public Engine,
   void pump_locked();
   void dispatch_locked(TaskNode* task, int slot);
   void finish_task_locked(TaskNode* task);
-  void drain_unblocked_locked();
+  void drain_unblock_notices_locked();
   /// Returns every commute token `task` holds / the tokens a with-cont's
   /// no_cm requests retire, granting each to its next queued waiter.
   void release_tokens_locked(TaskNode* task);
@@ -233,14 +233,14 @@ class ClusterEngine : public Engine,
   mutable std::mutex mu_;
   std::condition_variable root_cv_;
   std::deque<TaskNode*> ready_;
-  std::vector<TaskNode*> unblocked_;
+  std::vector<TaskNode*> unblock_notices_;
   std::unordered_map<TaskNode*, TaskRec> recs_;
   std::unordered_map<TaskNode*, PendingRpc> pending_;
   /// Data version last shipped to / received from each (object, worker).
   std::unordered_map<ObjectMachineKey, std::uint64_t, ObjectMachineKeyHash>
       shipped_;
   bool root_done_ = false;
-  bool root_unblocked_ = false;
+  bool root_unblock_noticed_ = false;
   bool aborting_ = false;
   std::exception_ptr first_error_;
   MachineId alloc_rr_ = 0;

@@ -23,7 +23,6 @@ struct RuntimeStats {
   // --- work-stealing dispatch (ThreadEngine) -------------------------------
   std::uint64_t tasks_stolen = 0;      ///< executed off the enabling thread
   std::uint64_t worker_parks = 0;      ///< times a thread went to sleep idle
-  std::uint64_t compensating_workers = 0;  ///< threads spawned for blockers
 
   std::uint64_t messages = 0;        ///< simulated network messages
   std::uint64_t bytes_sent = 0;

@@ -33,7 +33,6 @@ void Engine::publish_runtime_stats() {
   m.counter("engine.throttle_giveups").set(s.throttle_giveups);
   m.counter("engine.tasks_stolen").set(s.tasks_stolen);
   m.counter("engine.worker_parks").set(s.worker_parks);
-  m.counter("engine.compensating_workers").set(s.compensating_workers);
   m.counter("net.messages").set(s.messages);
   m.counter("net.bytes_sent").set(s.bytes_sent);
   m.counter("net.payload_bytes").set(s.payload_bytes);

@@ -10,8 +10,7 @@
 namespace jade {
 
 namespace {
-/// Thrown inside a blocked task to unwind it when another task has already
-/// failed; never escapes the engine.
+/// Unwinds a waiting task after another task failed; never escapes.
 struct EngineAborting {};
 
 /// True inside a handler whose exception is EngineAborting.
@@ -26,28 +25,45 @@ bool engine_aborting_in_flight() {
 }
 }  // namespace
 
+struct ThreadEngine::Running : IntrusiveNode {
+  enum class Park : std::uint8_t {
+    kRunning,  ///< on its fiber
+    kParking,  ///< wait registered; the fiber is switching out
+    kParked,   ///< switched out; a wake pushes it onto a ready deque
+    kWoken,    ///< woken; a native loop switches its fiber back in
+  };
+
+  Running(TaskNode* task, Fiber* fiber, MachineId lane)
+      : task(task), fiber(fiber), lane(lane) {}
+
+  TaskNode* const task;
+  Fiber* const fiber;    ///< the carrier the body runs on
+  const MachineId lane;  ///< where the task span began
+  // Guarded by mu_ once the task may have waited:
+  Wait wait = Wait::kNone;
+  Park park = Park::kRunning;
+  bool unblocked = false;  ///< the serializer's unblock notice arrived
+  bool took_commute_token = false;
+  ThrottleGate::Gates gates;  ///< what a suspended creator waits on
+};
+
+ThreadEngine::Running& ThreadEngine::running(TaskNode* task) {
+  return *static_cast<Running*>(task->engine_data);
+}
+
 thread_local ThreadEngine* ThreadEngine::tls_engine_ = nullptr;
 thread_local ThreadEngine::ThreadSlot* ThreadEngine::tls_slot_ = nullptr;
 
-ThreadEngine::TlsBinding::TlsBinding(ThreadEngine* engine, ThreadSlot* slot)
-    : prev_engine_(tls_engine_), prev_slot_(tls_slot_) {
-  tls_engine_ = engine;
-  tls_slot_ = slot;
-}
-
-ThreadEngine::TlsBinding::~TlsBinding() {
-  tls_engine_ = prev_engine_;
-  tls_slot_ = prev_slot_;
+__attribute__((noinline)) ThreadEngine::ThreadSlot*
+ThreadEngine::current_slot() const {
+  asm volatile("");  // not a pure function: no caller may reuse its result
+  return tls_engine_ == this ? tls_slot_ : nullptr;
 }
 
 ThreadEngine::ThreadEngine(int workers, ThrottleConfig throttle)
     : workers_requested_(workers), throttle_(throttle), serializer_(this) {
   JADE_ASSERT_MSG(workers >= 1, "ThreadEngine needs at least one worker");
-  // Pre-sized so publishing a slot is a single release store of slot_count_
-  // (stealers scan the prefix without locking).
-  slots_.resize(kMaxSlots);
-  // Ownership oracle for tenant isolation: called from create_task on the
-  // creating thread, with no other engine lock held; objects_mu_ is a leaf.
+  // Tenant-isolation oracle, called from create_task; objects_mu_ is a leaf.
   serializer_.set_tenant_oracle([this](ObjectId obj) {
     std::lock_guard<std::mutex> lock(objects_mu_);
     return objects_.info(obj).tenant;
@@ -55,19 +71,12 @@ ThreadEngine::ThreadEngine(int workers, ThrottleConfig throttle)
 }
 
 ThreadEngine::~ThreadEngine() {
-  stop_.store(true, std::memory_order_seq_cst);
-  unpark_all();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    state_cv_.notify_all();
-  }
+  stop();
   for (std::thread& w : workers_)
     if (w.joinable()) w.join();
 }
 
-// --- objects ---------------------------------------------------------------
-// None of these touch mu_: object metadata has its own mutex and the byte
-// buffers are behind the BufferTable's shard locks.
+// --- objects: none of these touch mu_ --------------------------------------
 
 ObjectId ThreadEngine::allocate(TypeDescriptor type, std::string name,
                                 MachineId /*home*/) {
@@ -87,15 +96,11 @@ void ThreadEngine::put_bytes(ObjectId obj, std::span<const std::byte> data) {
 }
 
 std::vector<std::byte> ThreadEngine::get_bytes(ObjectId obj) {
-  // BufferTable::get copies after dropping its shard lock; a host-side
-  // readback of a large object never stalls the schedulers.
   return buffers_.get(obj);
 }
 
 const ObjectInfo& ThreadEngine::object_info(ObjectId obj) const {
   std::lock_guard<std::mutex> lock(objects_mu_);
-  // Deque-backed table: the reference survives the unlock and any number of
-  // concurrent allocations.
   return objects_.info(obj);
 }
 
@@ -105,35 +110,22 @@ void ThreadEngine::set_object_tenant(ObjectId obj, TenantId tenant) {
 }
 
 void ThreadEngine::release_object(ObjectId obj) {
-  // The bytes and the declaration queue go; the metadata stays, so a stale
-  // id fails as one (StaleHandleError) instead of reading as unknown.  The
-  // owning tenant has quiesced, so the queue holds no record.
+  // The bytes and the (empty) queue go; the metadata stays, so a stale id
+  // fails as one (StaleHandleError).
   buffers_.destroy(obj);
   serializer_.retire_queue(obj);
 }
 
 void ThreadEngine::notify_external() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (cv_waiters_ > 0) state_cv_.notify_all();
+  external_.store(true, std::memory_order_seq_cst);
+  wake_one();
 }
 
-// --- slots and parking -----------------------------------------------------
-
-ThreadEngine::ThreadSlot* ThreadEngine::add_slot(MachineId machine) {
-  const int idx = slot_count_.load(std::memory_order_relaxed);
-  JADE_ASSERT_MSG(idx < kMaxSlots, "runaway compensating-worker growth");
-  slots_[static_cast<std::size_t>(idx)] =
-      std::make_unique<ThreadSlot>(idx, machine);
-  ThreadSlot* slot = slots_[static_cast<std::size_t>(idx)].get();
-  slot_count_.store(idx + 1, std::memory_order_release);
-  return slot;
-}
+// --- idle threads ----------------------------------------------------------
 
 void ThreadEngine::wake_one() {
-  // seq_cst pairs with the idle thread's (register, then re-check
-  // ready_count_) sequence: either we see it registered here, or it sees
-  // our ready_count_ increment there.  Zero idle threads is the hot case
-  // and costs one load.
+  // seq_cst pairs with idle_park's register-then-recheck: either we see the
+  // thread registered, or it sees our work.  No idle thread costs one load.
   if (idle_count_.load(std::memory_order_seq_cst) == 0) return;
   ThreadSlot* victim = nullptr;
   {
@@ -147,80 +139,54 @@ void ThreadEngine::wake_one() {
   if (victim) victim->parker.unpark();
 }
 
-void ThreadEngine::unpark_all() {
-  std::vector<ThreadSlot*> grabbed;
-  {
-    std::lock_guard<std::mutex> lock(idle_mu_);
-    grabbed.swap(idle_stack_);
-    idle_count_.store(0, std::memory_order_seq_cst);
-  }
-  for (ThreadSlot* slot : grabbed) slot->parker.unpark();
-}
-
-bool ThreadEngine::idle_cancel(ThreadSlot* slot) {
-  std::lock_guard<std::mutex> lock(idle_mu_);
-  auto it = std::find(idle_stack_.begin(), idle_stack_.end(), slot);
-  if (it == idle_stack_.end()) return false;
-  idle_stack_.erase(it);
-  idle_count_.fetch_sub(1, std::memory_order_seq_cst);
-  return true;
-}
-
-void ThreadEngine::maybe_notify_all_asleep_locked() {
-  if (throttle_waiters_ > 0 &&
-      sleeping_threads_.load(std::memory_order_seq_cst) >=
-          total_threads_.load(std::memory_order_seq_cst) &&
-      ready_count_.load(std::memory_order_seq_cst) == 0)
-    state_cv_.notify_all();
-}
-
-void ThreadEngine::notify_if_all_asleep() {
-  if (sleeping_threads_.load(std::memory_order_seq_cst) >=
-          total_threads_.load(std::memory_order_seq_cst) &&
-      ready_count_.load(std::memory_order_seq_cst) == 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    maybe_notify_all_asleep_locked();
-  }
-}
-
-void ThreadEngine::idle_park(ThreadSlot* slot,
-                             bool (ThreadEngine::*extra_wake)()) {
-  // Register first, re-check after: a producer either finds us on the idle
-  // stack (and unparks us) or published its work before our re-check.
+void ThreadEngine::idle_park(ThreadSlot* slot) {
   {
     std::lock_guard<std::mutex> lock(idle_mu_);
     idle_stack_.push_back(slot);
     idle_count_.fetch_add(1, std::memory_order_seq_cst);
   }
-  sleeping_threads_.fetch_add(1, std::memory_order_seq_cst);
   bool wake_now = stop_.load(std::memory_order_seq_cst) ||
-                  ready_count_.load(std::memory_order_seq_cst) > 0;
-  if (!wake_now && extra_wake) {
+                  ready_count_.load(std::memory_order_seq_cst) > 0 ||
+                  external_.load(std::memory_order_seq_cst);
+  // Every thread idle: no task runs that could clear a throttle gate.
+  if (!wake_now && throttle_waiters_.load(std::memory_order_seq_cst) > 0 &&
+      idle_count_.load(std::memory_order_seq_cst) ==
+          static_cast<int>(slots_.size())) {
     std::lock_guard<std::mutex> lock(mu_);
-    wake_now = (this->*extra_wake)();
+    if (!throttled_.empty() &&
+        ready_count_.load(std::memory_order_seq_cst) == 0) {
+      // Only a suspended creator can make progress: the oldest gives up.
+      Running* r = throttled_.front();
+      throttled_.pop_front();
+      throttle_waiters_.fetch_sub(1, std::memory_order_seq_cst);
+      throttle_.note_giveup();
+      tracer_.instant(obs::Subsystem::kEngine, "throttle.giveup",
+                      r->task->id(), machine_of(r->task),
+                      static_cast<double>(serializer_.backlog()));
+      wake_locked(*r);
+      wake_now = true;
+    }
   }
-  if (wake_now && idle_cancel(slot)) {
-    sleeping_threads_.fetch_sub(1, std::memory_order_seq_cst);
-    return;
+  if (wake_now) {
+    // Leave the idle set, unless a producer claimed the slot already: its
+    // unpark is in flight, and park() consumes it.
+    std::lock_guard<std::mutex> lock(idle_mu_);
+    auto it = std::find(idle_stack_.begin(), idle_stack_.end(), slot);
+    if (it != idle_stack_.end()) {
+      idle_stack_.erase(it);
+      idle_count_.fetch_sub(1, std::memory_order_seq_cst);
+      return;
+    }
   }
-  // Either nothing to do, or a producer already claimed us and an unpark is
-  // in flight — park consumes it and we rescan immediately.
-  if (!wake_now) notify_if_all_asleep();
   ++slot->parks;
   slot->parker.park();
-  sleeping_threads_.fetch_sub(1, std::memory_order_seq_cst);
 }
 
 // --- dispatch --------------------------------------------------------------
 
-void ThreadEngine::on_task_ready(TaskNode* task) {
-  // Called from inside a serializer call this engine made, with no lock
-  // held — always on a bound engine thread.  The task lands in that
-  // thread's own deque (LIFO locality for dependence chains); one idle
-  // thread, if any, is woken to steal.
-  ThreadSlot* slot = tls_slot_;
-  JADE_ASSERT_MSG(tls_engine_ == this && slot != nullptr,
-                  "serializer callback on an unbound thread");
+void ThreadEngine::push_ready(TaskNode* task) {
+  ThreadSlot* slot = current_slot();
+  JADE_ASSERT_MSG(slot != nullptr, "task made ready on an unbound thread");
   slot->deque.push(task);
   slot->max_queue_depth =
       std::max(slot->max_queue_depth, slot->deque.size_estimate());
@@ -232,22 +198,23 @@ void ThreadEngine::on_task_ready(TaskNode* task) {
   wake_one();
 }
 
+void ThreadEngine::on_task_ready(TaskNode* task) { push_ready(task); }
+
 void ThreadEngine::on_task_created(TaskNode* task) {
-  // Creation and the tracer's record of it happen on the creator's thread,
-  // before a worker can run (and release) the task.  The creator's slot is
-  // the parent's machine_of().
+  // On the creator's thread, before a worker can run (and release) it.
   if (tracer_.enabled())
     tracer_.instant(obs::Subsystem::kEngine, "task.created", task->id(),
-                    tls_slot_->machine, 0, task->name());
+                    current_slot()->machine, 0, task->name());
 }
 
 void ThreadEngine::on_task_unblocked(TaskNode* task) {
-  // The notice may arrive before the task starts waiting (its acquire or
-  // with-cont returned "must block" and the last blocker retired at once);
-  // wait_unblocked finds it in unblocked_ either way.
+  // The notice may arrive before the task parks; the flag then keeps it
+  // from parking at all.
   std::lock_guard<std::mutex> lock(mu_);
-  unblocked_.insert(task);
-  if (cv_waiters_ > 0) state_cv_.notify_all();
+  auto* r = static_cast<Running*>(task->engine_data);
+  if (r == nullptr) return;  // a late notice for a wait a failure unwound
+  r->unblocked = true;
+  if (r->wait == Wait::kUnblock) wake_locked(*r);
 }
 
 TaskNode* ThreadEngine::find_task(ThreadSlot* self) {
@@ -255,10 +222,9 @@ TaskNode* ThreadEngine::find_task(ThreadSlot* self) {
     ready_count_.fetch_sub(1, std::memory_order_seq_cst);
     return *task;
   }
-  const int n = slot_count_.load(std::memory_order_acquire);
-  // Two sweeps: ready_count_ > 0 after a failed sweep means an enqueue or a
-  // hand-off is in flight; one yield-and-retry usually catches it.  Still
-  // nothing → caller parks (its registered re-check closes the race).
+  const int n = static_cast<int>(slots_.size());
+  // Two sweeps: ready_count_ > 0 after a failed sweep means an enqueue is in
+  // flight; one yield-and-retry usually catches it.
   for (int sweep = 0; sweep < 2; ++sweep) {
     for (int k = 1; k < n; ++k) {
       ThreadSlot* victim = slots_[static_cast<std::size_t>(
@@ -279,8 +245,7 @@ TaskNode* ThreadEngine::find_task(ThreadSlot* self) {
   return nullptr;
 }
 
-bool ThreadEngine::spin_for_work(ThreadSlot* slot) {
-  (void)slot;
+bool ThreadEngine::spin_for_work() {
   constexpr int kIdleSpins = 32;
   for (int i = 0; i < kIdleSpins; ++i) {
     if (stop_.load(std::memory_order_acquire) ||
@@ -291,61 +256,189 @@ bool ThreadEngine::spin_for_work(ThreadSlot* slot) {
   return false;
 }
 
-void ThreadEngine::worker_loop(ThreadSlot* slot) {
-  TlsBinding bind(this, slot);
-  while (!stop_.load(std::memory_order_acquire)) {
-    if (TaskNode* task = find_task(slot)) {
-      execute(task, slot);
+// --- threads and fibers ----------------------------------------------------
+
+Fiber* ThreadEngine::new_carrier() {
+  std::unique_lock<std::mutex> lock(stacks_mu_);
+  Fiber* f = stacks_.acquire();
+  lock.unlock();
+  fiber_start(
+      f, [](void* self) { static_cast<ThreadEngine*>(self)->carrier_loop(); },
+      this);
+  return f;
+}
+
+void ThreadEngine::thread_main(ThreadSlot* slot) {
+  // Restored at the end, for a task body that runs a nested Runtime.
+  ThreadEngine* const outer_engine = tls_engine_;
+  ThreadSlot* const outer_slot = tls_slot_;
+  tls_engine_ = this;
+  tls_slot_ = slot;
+  Fiber* f = new_carrier();
+  while (f != nullptr) {
+    slot->current = f;
+    if (fiber_resume(f)) {  // a carrier ended: stop, or a woken task
+      {
+        std::lock_guard<std::mutex> lock(stacks_mu_);
+        stacks_.release(f);
+      }
+      f = std::exchange(slot->next, nullptr);
+      if (f != nullptr) unsuspend();
       continue;
     }
-    if (spin_for_work(slot)) continue;
-    idle_park(slot, nullptr);
+    // The task on `f` parked.  Only now, with its fiber out, may a waker
+    // hand it to any thread; one woken meanwhile goes straight back in.
+    Running* r = std::exchange(slot->parking, nullptr);
+    std::unique_lock<std::mutex> lock(mu_);
+    if (r->park == Running::Park::kWoken) {
+      lock.unlock();
+      unsuspend();
+    } else {
+      r->park = Running::Park::kParked;
+      lock.unlock();
+      f = new_carrier();
+    }
+  }
+  tls_engine_ = outer_engine;
+  tls_slot_ = outer_slot;
+}
+
+void ThreadEngine::carrier_loop() {
+  // The caller's thread's first carrier runs the original task.
+  if (current_slot()->index == 0 && root_body_) run_root();
+  for (;;) {
+    // Re-read every pass: the task executed last may have moved threads.
+    ThreadSlot* slot = current_slot();
+    if (stop_.load(std::memory_order_acquire)) return;
+    if (external_.load(std::memory_order_relaxed) &&
+        external_.exchange(false, std::memory_order_seq_cst)) {
+      // Cancelled tenants' creators and commute waiters unwind.
+      std::lock_guard<std::mutex> lock(mu_);
+      wake_parked_locked([](const Running& r) {
+        const TenantCtl* ctl = r.task->tenant();
+        return r.wait != Wait::kUnblock && ctl != nullptr &&
+               ctl->cancelled.load(std::memory_order_relaxed);
+      });
+    }
+    TaskNode* task = find_task(slot);
+    if (task == nullptr) {
+      if (!spin_for_work()) idle_park(slot);
+      continue;
+    }
+    if (task->engine_data != nullptr) {  // woken: its fiber takes over
+      slot->next = running(task).fiber;
+      return;
+    }
+    execute(task, slot);
   }
 }
 
-void ThreadEngine::ensure_spare_worker() {
-  if (idle_count_.load(std::memory_order_seq_cst) > 0 ||
-      stop_.load(std::memory_order_relaxed))
-    return;
-  // A compensating worker stands in for the worker slot it replaces; its
-  // reported machine id stays within [0, machine_count()).
-  const MachineId machine =
-      static_cast<MachineId>(workers_.size()) % workers_requested_;
-  ThreadSlot* slot = add_slot(machine);
-  ++stats_.compensating_workers;
-  total_threads_.fetch_add(1, std::memory_order_seq_cst);
-  workers_.emplace_back([this, slot] { worker_loop(slot); });
+void ThreadEngine::unsuspend() {
+  if (suspended_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+      failed_.load(std::memory_order_seq_cst))
+    stop();
+}
+
+void ThreadEngine::stop() {
+  stop_.store(true, std::memory_order_seq_cst);
+  std::vector<ThreadSlot*> idle;
+  {
+    std::lock_guard<std::mutex> lock(idle_mu_);
+    idle.swap(idle_stack_);
+    idle_count_.store(0, std::memory_order_seq_cst);
+  }
+  for (ThreadSlot* slot : idle) slot->parker.unpark();
+}
+
+void ThreadEngine::stop_if_drained() {
+  // seq_cst: the root's completion and the last task's see each other.
+  if (root_done_.load() && serializer_.outstanding() == 0) stop();
+}
+
+// --- waiting ---------------------------------------------------------------
+
+void ThreadEngine::park_locked(std::unique_lock<std::mutex>& lock,
+                               Running& r, Wait why) {
+  r.wait = why;
+  r.park = Running::Park::kParking;
+  parked_.push_back(&r);
+  suspended_.fetch_add(1, std::memory_order_seq_cst);
+  current_slot()->parking = &r;
+  lock.unlock();
+  fiber_yield(r.fiber);
+  lock.lock();  // resumed, maybe on another thread
+  r.park = Running::Park::kRunning;
+  r.wait = Wait::kNone;
+  r.task->assigned_machine = current_slot()->machine;
+}
+
+void ThreadEngine::wake_locked(Running& r) {
+  switch (r.park) {
+    case Running::Park::kParking:  // its own thread switches it back in
+      r.park = Running::Park::kWoken;
+      break;
+    case Running::Park::kParked:
+      r.park = Running::Park::kWoken;
+      push_ready(r.task);
+      break;
+    default:
+      return;  // running, or already woken
+  }
+  IntrusiveList<Running>::unlink(&r);
+}
+
+void ThreadEngine::wait_unblocked(Running& r,
+                                  std::unique_lock<std::mutex>& lock) {
+  // Every wait edge points to a record strictly ahead in some queue: the
+  // waits-for graph is acyclic, and the unblock arrives unless a task fails.
+  if (!r.unblocked) {
+    if (first_error_) throw EngineAborting{};
+    park_locked(lock, r, Wait::kUnblock);
+    if (!r.unblocked) throw EngineAborting{};  // woken by a failure
+  }
+  r.unblocked = false;
+}
+
+bool ThreadEngine::gates_clear(const Running& r) const {
+  return (!r.gates.global || throttle_.backlog_drained(serializer_.backlog())) &&
+         (!r.gates.tenant || throttle_.tenant_clear(r.task->tenant()));
+}
+
+void ThreadEngine::maybe_release_throttled_locked() {
+  for (auto it = throttled_.begin(); it != throttled_.end();) {
+    Running* r = *it;
+    if (!gates_clear(*r)) {
+      ++it;
+      continue;
+    }
+    it = throttled_.erase(it);
+    throttle_waiters_.fetch_sub(1, std::memory_order_seq_cst);
+    wake_locked(*r);
+  }
+}
+
+template <class Pick>
+void ThreadEngine::wake_parked_locked(Pick&& pick) {
+  parked_.for_each([&](Running* r) {
+    if (!pick(*r)) return;
+    if (r->wait == Wait::kThrottle) {
+      std::erase(throttled_, r);
+      throttle_waiters_.fetch_sub(1, std::memory_order_seq_cst);
+    }
+    if (r->wait == Wait::kCommute) commute_.remove_waiter(r->task);
+    wake_locked(*r);
+  });
 }
 
 void ThreadEngine::record_error(std::exception_ptr err) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!first_error_) first_error_ = err;
-    if (cv_waiters_ > 0) state_cv_.notify_all();
+    failed_.store(true, std::memory_order_seq_cst);
+    // Every parked task unwinds before the run ends; none parks from now on.
+    wake_parked_locked([](const Running&) { return true; });
   }
-  unpark_all();  // the drain thread re-checks first_error_ before parking
-}
-
-template <class Wake>
-void ThreadEngine::block_locked(TaskNode* task,
-                                std::unique_lock<std::mutex>& lock,
-                                bool spare, Wake&& wake) {
-  if (spare) ensure_spare_worker();
-  ++cv_waiters_;
-  // Pairs with execute()'s fence: the predicate below reads what completing
-  // threads changed before they looked for waiters.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  blocked_.insert(task);
-  sleeping_threads_.fetch_add(1, std::memory_order_seq_cst);
-  maybe_notify_all_asleep_locked();
-  state_cv_.wait(lock, std::forward<Wake>(wake));
-  sleeping_threads_.fetch_sub(1, std::memory_order_seq_cst);
-  blocked_.erase(task);
-  --cv_waiters_;
-}
-
-bool ThreadEngine::drain_should_exit() {
-  return serializer_.outstanding() == 0 || first_error_ != nullptr;
+  if (suspended_.load(std::memory_order_seq_cst) == 0) stop();
 }
 
 void ThreadEngine::enable_tracing(const ObsConfig& cfg) {
@@ -353,100 +446,45 @@ void ThreadEngine::enable_tracing(const ObsConfig& cfg) {
   trace_epoch_ = std::chrono::steady_clock::now();
 }
 
-void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (ran_) {
-      // Sequential reuse: the previous run joined its pool and left the
-      // scheduling state quiescent.  Reset it for a fresh graph; objects
-      // and buffers persist (allocate-once semantics).
-      JADE_ASSERT_MSG(workers_.empty(),
-                      "run() re-entered while a previous run is active");
-      serializer_.reset();
-      unblocked_.clear();
-      blocked_.clear();
-      commute_ = CommuteTokenTable{};
-      throttle_.reset_counters();
-      first_error_ = nullptr;
-      stats_ = RuntimeStats{};
-      const int nslots = slot_count_.load(std::memory_order_relaxed);
-      for (int i = 0; i < nslots; ++i)
-        slots_[static_cast<std::size_t>(i)].reset();
-      slot_count_.store(0, std::memory_order_relaxed);
-      ready_count_.store(0, std::memory_order_seq_cst);
-      {
-        std::lock_guard<std::mutex> idle(idle_mu_);
-        idle_stack_.clear();
-        idle_count_.store(0, std::memory_order_seq_cst);
-      }
-      sleeping_threads_.store(0, std::memory_order_seq_cst);
-      stop_.store(false, std::memory_order_seq_cst);
-    }
-    ran_ = true;
-  }
-  ThreadSlot* root_slot = add_slot(0);
-  total_threads_.store(workers_requested_ + 1, std::memory_order_seq_cst);
-  workers_.reserve(static_cast<std::size_t>(workers_requested_));
-  for (int i = 0; i < workers_requested_; ++i) {
-    ThreadSlot* slot = add_slot(i);
-    workers_.emplace_back([this, slot] { worker_loop(slot); });
-  }
-  serializer_.root()->assigned_machine = 0;
+// --- running the graph -----------------------------------------------------
 
-  // The caller's thread is the original task (Figure 7(a)); afterwards it
-  // drains the pool as one more stealing worker.
-  bool root_failed = false;
-  {
-    TlsBinding bind(this, root_slot);
-    try {
-      TaskContext ctx(this, serializer_.root());
-      root_body(ctx);
-    } catch (const EngineAborting&) {
-      root_failed = true;
-    } catch (...) {
-      record_error(std::current_exception());
-      root_failed = true;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // The root never passes through execute(): return any commute tokens
-      // its body took, or commuting tasks would wait on them forever.  No
-      // hand-off: sleepers race for freed tokens under state_cv_.
-      commute_.release_all(serializer_.root(), [](TaskNode*, ObjectId) {});
-      if (cv_waiters_ > 0) state_cv_.notify_all();
-    }
-    if (!root_failed) serializer_.complete_task(serializer_.root());
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (drain_should_exit()) break;
-      }
-      if (TaskNode* task = find_task(root_slot)) {
-        execute(task, root_slot);
-        continue;
-      }
-      idle_park(root_slot, &ThreadEngine::drain_should_exit);
-    }
+void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
+  if (ran_) {
+    // Sequential reuse: reset the quiescent scheduling state for a fresh
+    // graph; objects and buffers persist (allocate-once semantics).
+    JADE_ASSERT_MSG(workers_.empty(),
+                    "run() re-entered while a previous run is active");
+    serializer_.reset();
+    commute_ = CommuteTokenTable{};
+    throttle_.reset_counters();
+    first_error_ = nullptr;
+    failed_.store(false);
+    root_done_.store(false);
+    stats_ = RuntimeStats{};
+    ready_count_.store(0);
+    idle_stack_.clear();
+    idle_count_.store(0);
+    stop_.store(false);
   }
-  stop_.store(true, std::memory_order_seq_cst);
-  unpark_all();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cv_waiters_ > 0) state_cv_.notify_all();
-  }
-  for (std::thread& w : workers_)
-    if (w.joinable()) w.join();
+  ran_ = true;
+  root_body_ = std::move(root_body);
+  // The pool's slots report machines 0..workers-1, the caller's thread 0.
+  slots_.clear();
+  for (int i = 0; i <= workers_requested_; ++i)
+    slots_.push_back(std::make_unique<ThreadSlot>(i, i == 0 ? 0 : i - 1));
+  for (std::size_t i = 1; i < slots_.size(); ++i)
+    workers_.emplace_back(&ThreadEngine::thread_main, this, slots_[i].get());
+  // The caller's thread runs the original task (Figure 7(a)) first.
+  thread_main(slots_[0].get());
+  for (std::thread& w : workers_) w.join();
   workers_.clear();
 
   // Fold the per-thread stat cells now that every owner thread is joined.
-  // Compensating workers aggregate into the machine slot they stood in for.
-  const int nslots = slot_count_.load(std::memory_order_acquire);
   std::vector<std::uint64_t> executed(
       static_cast<std::size_t>(workers_requested_), 0);
   std::vector<std::uint64_t> stolen(executed.size(), 0);
   std::vector<std::size_t> depth(executed.size(), 0);
-  for (int i = 0; i < nslots; ++i) {
-    ThreadSlot* s = slots_[static_cast<std::size_t>(i)].get();
+  for (const std::unique_ptr<ThreadSlot>& s : slots_) {
     stats_.total_charged_work += s->charged;
     stats_.tasks_stolen += s->stolen;
     stats_.worker_parks += s->parks;
@@ -468,28 +506,60 @@ void ThreadEngine::run(std::function<void(TaskContext&)> root_body) {
   if (first_error_) std::rethrow_exception(first_error_);
 }
 
+void ThreadEngine::run_root() {
+  const std::function<void(TaskContext&)> body = std::move(root_body_);
+  root_body_ = nullptr;
+  TaskNode* root = serializer_.root();
+  ThreadSlot* slot = current_slot();
+  root->assigned_machine = slot->machine;
+  Running r(root, slot->current, slot->machine);
+  TaskContext ctx(this, root);
+  if (run_task(r, [&] { body(ctx); })) serializer_.complete_task(root);
+  root_done_.store(true, std::memory_order_seq_cst);
+  stop_if_drained();
+}
+
+template <class Body>
+bool ThreadEngine::run_task(Running& r, Body&& body) {
+  r.task->engine_data = &r;
+  bool failed = false;
+  try {
+    body();
+  } catch (const EngineAborting&) {
+    failed = true;  // unwound because another task already failed
+  } catch (...) {
+    record_error(std::current_exception());
+    failed = true;
+  }
+  // A failed task may still get a notice, read under mu_.
+  std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+  if (r.took_commute_token || failed) {
+    lock.lock();
+    commute_.release_all(r.task, [this](TaskNode* next, ObjectId) {
+      wake_locked(running(next));
+    });
+  }
+  r.task->engine_data = nullptr;
+  return !failed;
+}
+
 void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
+  // A failing run only unwinds its parked tasks; new ones stay unstarted.
+  if (failed_.load(std::memory_order_relaxed)) return;
   serializer_.task_started(task);
-  // Starting a task shrinks the backlog; suspended creators watch it.  The
-  // backlog decrement and this load are seq_cst, as are the creator's
-  // waiter registration and its backlog read: one side sees the other.
+  // Starting a task shrinks the backlog suspended creators watch.  Both
+  // sides are seq_cst (creator: register, read backlog; here the reverse).
   if (throttle_waiters_.load(std::memory_order_seq_cst) > 0) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (throttle_.backlog_drained(serializer_.backlog()))
-      state_cv_.notify_all();
+    maybe_release_throttled_locked();
   }
   task->assigned_machine = slot->machine;
   if (tracer_.enabled()) {
-    // Work stealing has no directory to score: the "placement" is which
-    // worker claimed the task.  explain_claim still produces the structured
-    // explanation — candidates are the live worker slots with their queue
-    // depths — so every engine's sched.place event has one shape.
-    const int live = slot_count_.load(std::memory_order_acquire);
-    std::vector<int> depths(static_cast<std::size_t>(live), 0);
-    for (int s = 0; s < live; ++s)
-      depths[static_cast<std::size_t>(s)] =
-          static_cast<int>(slots_[static_cast<std::size_t>(s)]
-                               ->deque.size_estimate());
+    // The "placement" is which worker claimed the task: the candidates are
+    // the slots with their queue depths, so sched.place has one shape.
+    std::vector<int> depths;
+    for (const std::unique_ptr<ThreadSlot>& s : slots_)
+      depths.push_back(static_cast<int>(s->deque.size_estimate()));
     PlacementExplain explain;
     explain_claim(depths, slot->machine, &explain);
     tracer_.instant(obs::Subsystem::kSched, "sched.place", task->id(),
@@ -502,49 +572,33 @@ void ThreadEngine::execute(TaskNode* task, ThreadSlot* slot) {
                        slot->machine, task->name());
   }
   JADE_TRACE("exec-start " << task->name());
+  Running r(task, slot->current, slot->machine);
   TaskContext ctx(this, task);
-  bool failed = false;
-  try {
-    run_body(task, ctx, engine_aborting_in_flight);
-  } catch (const EngineAborting&) {
-    failed = true;  // unwound because another task already failed
-  } catch (...) {
-    record_error(std::current_exception());
-    failed = true;
-  }
+  const bool failed = !run_task(
+      r, [&] { run_body(task, ctx, engine_aborting_in_flight); });
+  slot = current_slot();  // the body may have parked and moved threads
   task->body = nullptr;
-  if (slot->took_commute_token) {
-    slot->took_commute_token = false;
-    std::lock_guard<std::mutex> lock(mu_);
-    commute_.release_all(task, [](TaskNode*, ObjectId) {});
-    if (cv_waiters_ > 0) state_cv_.notify_all();
-  }
   bool drained = false;
   if (!failed) {
-    // Completion retires the task's records; newly enabled tasks land in
-    // this thread's deque via on_task_ready, which wakes a stealer for
-    // each — except the first, which this thread pops itself on the next
-    // find_task (see ThreadSlot::local_grants).
+    // Newly enabled tasks land in this thread's deque, the first without a
+    // wakeup (see ThreadSlot::local_grants).
     slot->local_grants = 1;
     serializer_.complete_task(task);
     slot->local_grants = 0;
     drained = serializer_.outstanding() == 0;
   }
-  // Blocked tasks (tenant windows, dependency waits) re-check their
-  // predicates; skipped entirely when nothing is blocked.  The fence pairs
-  // with block_locked's: either the waiter's predicate sees this
-  // completion or this sees the waiter.
+  // Completions shrink tenant windows.  The fence pairs with spawn()'s:
+  // either its gate check sees this completion or this sees the creator.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (cv_waiters_.load(std::memory_order_relaxed) > 0) {
+  if (throttle_waiters_.load(std::memory_order_relaxed) > 0) {
     std::lock_guard<std::mutex> lock(mu_);
-    state_cv_.notify_all();
+    maybe_release_throttled_locked();
   }
-  if (drained) unpark_all();  // the drain thread may be parked
-  if (failed) return;         // leave incomplete; run() aborts on first_error_
+  if (drained) stop_if_drained();
+  if (failed) return;  // leave incomplete; run() aborts on first_error_
   ++slot->executed;
-  // Completion made no other thread a holder of the node: its records are
-  // unlinked, and nothing else keeps a completed task.  Read it, then recycle.
-  tracer_.span_end(obs::Subsystem::kEngine, "task", task->id(), slot->machine,
+  // Nothing else holds a completed task: read it, then recycle it.
+  tracer_.span_end(obs::Subsystem::kEngine, "task", task->id(), r.lane,
                    task->charged_work);
   JADE_TRACE("exec-done " << task->name()
              << " backlog=" << slot->deque.size_estimate());
@@ -558,8 +612,7 @@ void ThreadEngine::spawn(TaskNode* parent,
                          TaskContext::BodyFn body, std::string name,
                          MachineId /*placement*/, TenantCtl* tenant) {
   // The creator's own tenant (not the child's): the dispatcher launching a
-  // program root for tenant T is a host task and is never gated or unwound —
-  // a blocked dispatcher would stall every other tenant.
+  // program root is a host task and is never gated or unwound.
   TenantCtl* pctl = spawn_prologue(parent);
   // The new task may run, complete and be recycled before create_task
   // returns, so its node is not read here (on_task_created traces it).
@@ -571,49 +624,31 @@ void ThreadEngine::spawn(TaskNode* parent,
 
   // Too much exploited concurrency — globally (Section 3.3) or against this
   // tenant's quota window: suspend the creator until the pressure drains.
-  // If every other thread ends up asleep with nothing ready, the backlog
-  // can only drain through the creators themselves — give up throttling
-  // rather than deadlock.
   std::unique_lock<std::mutex> lock(mu_);
+  if (first_error_) throw EngineAborting{};
   throttle_.note_suspension();
   tracer_.instant(obs::Subsystem::kEngine, "throttle.suspend", parent->id(),
                   machine_of(parent),
                   static_cast<double>(serializer_.backlog()));
   JADE_TRACE("throttle-enter " << parent->name()
              << " backlog=" << serializer_.backlog());
-  const auto clear = [&] {
-    return (!gate.global ||
-            throttle_.backlog_drained(serializer_.backlog())) &&
-           (!gate.tenant || throttle_.tenant_clear(pctl));
-  };
-  while (!clear()) {
+  Running& r = running(parent);
+  r.gates = gate;
+  throttle_waiters_.fetch_add(1, std::memory_order_seq_cst);
+  // Pairs with execute()'s fence.  Should every thread go idle meanwhile,
+  // idle_park gives the oldest creator up.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (gates_clear(r)) {
+    throttle_waiters_.fetch_sub(1, std::memory_order_seq_cst);
+  } else {
+    throttled_.push_back(&r);
+    park_locked(lock, r, Wait::kThrottle);
     if (first_error_) throw EngineAborting{};
-    if (sleeping_threads_.load(std::memory_order_seq_cst) + 1 >=
-            total_threads_.load(std::memory_order_seq_cst) &&
-        ready_count_.load(std::memory_order_seq_cst) == 0) {
-      // Every other thread is asleep with nothing ready: only this creator
-      // can make progress, so it must keep creating.
-      throttle_.note_giveup();
-      tracer_.instant(obs::Subsystem::kEngine, "throttle.giveup",
-                      parent->id(), machine_of(parent),
-                      static_cast<double>(serializer_.backlog()));
-      JADE_TRACE("throttle-giveup " << parent->name());
-      return;
-    }
-    ++throttle_waiters_;
-    block_locked(parent, lock, /*spare=*/true, [&] {
-      return clear() || first_error_ != nullptr ||
-             (sleeping_threads_.load(std::memory_order_seq_cst) >=
-                  total_threads_.load(std::memory_order_seq_cst) &&
-              ready_count_.load(std::memory_order_seq_cst) == 0);
-    });
-    --throttle_waiters_;
   }
   tracer_.instant(obs::Subsystem::kEngine, "throttle.resume", parent->id(),
                   machine_of(parent),
                   static_cast<double>(serializer_.backlog()));
-  // The tenant may have been torn down while its creator slept; unwind at
-  // this edge rather than running the rest of the body.
+  // A tenant torn down while its creator slept unwinds at this edge.
   if (pctl != nullptr && pctl->cancelled.load(std::memory_order_relaxed))
     throw TenantUnwind{};
 }
@@ -622,79 +657,54 @@ void ThreadEngine::with_cont(TaskNode* task,
                              const std::vector<AccessRequest>& requests) {
   const bool must_block = serializer_.update_spec(task, requests);
   std::unique_lock<std::mutex> lock(mu_);
-  // no_cm also returns the engine-level exclusivity token early, so other
-  // commuters proceed before this task completes.
-  commute_.release_retired(task, requests, [](TaskNode*, ObjectId) {});
-  if (must_block) wait_unblocked(task, lock);
-  // A returned commute token (or retired rights) may unblock waiters.
-  if (cv_waiters_ > 0) state_cv_.notify_all();
+  // no_cm hands the commute token on early.
+  commute_.release_retired(task, requests, [this](TaskNode* next, ObjectId) {
+    wake_locked(running(next));
+  });
+  if (must_block) wait_unblocked(running(task), lock);
 }
 
 std::byte* ThreadEngine::acquire_bytes(TaskNode* task, ObjectId obj,
                                        std::uint8_t mode) {
-  // The access check itself takes no engine lock (nor, for an unshadowed
-  // non-commute record, a queue lock); mu_ only for a wait or a token.
-  // Global→local translation is pure buffer-table work, and the pointer is
-  // stable; it comes first so a stale id fails before any state changes.
+  // The access check takes no engine lock (nor, for an unshadowed
+  // non-commute record, a queue lock); mu_ only for a wait or a token.  The
+  // stable pointer comes first, so a stale id fails before any change.
   std::byte* bytes = buffers_.data(obj);
   const bool must_block = serializer_.acquire(task, obj, mode);
-  if (must_block || (mode & access::kCommute)) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (must_block) wait_unblocked(task, lock);
-    if (mode & access::kCommute) {
-      // Commuters run in any order but touch the object exclusively; sleep
-      // until the holder completes (or retires via no_cm).  Note: a task
-      // holding a commute accessor must not block on a deferred conversion,
-      // or holder and waiter could form a cycle the serial order does not
-      // rank (see DESIGN.md).
-      TenantCtl* ctl = task->tenant();
-      for (;;) {
-        if (ctl != nullptr && ctl->cancelled.load(std::memory_order_relaxed))
-          throw TenantUnwind{};
-        if (commute_.try_acquire(obj, task)) {
-          if (!task->is_root()) tls_slot_->took_commute_token = true;
-          break;
-        }
-        if (first_error_) throw EngineAborting{};
-        // Only a holder that is itself blocked needs this waiter to make
-        // sure of a spare (see blocked_); a running holder frees the token
-        // unaided.
-        const bool holder_blocked = blocked_.contains(commute_.holder(obj));
-        block_locked(task, lock, /*spare=*/holder_blocked, [&] {
-          TaskNode* h = commute_.holder(obj);
-          return h == nullptr || h == task || first_error_ != nullptr ||
-                 (ctl != nullptr &&
-                  ctl->cancelled.load(std::memory_order_relaxed));
-        });
+  if (!must_block && !(mode & access::kCommute)) return bytes;
+  std::unique_lock<std::mutex> lock(mu_);
+  Running& r = running(task);
+  if (must_block) wait_unblocked(r, lock);
+  if (mode & access::kCommute) {
+    // Queue for the token until the holder completes (or retires it via
+    // no_cm) and hands it over.  A task holding a commute accessor must not
+    // block on a deferred conversion, or holder and waiter could form a
+    // cycle the serial order does not rank (see DESIGN.md).
+    TenantCtl* ctl = task->tenant();
+    const auto cancelled = [ctl] {
+      return ctl != nullptr && ctl->cancelled.load(std::memory_order_relaxed);
+    };
+    if (cancelled()) throw TenantUnwind{};
+    if (!commute_.try_acquire(obj, task)) {
+      if (first_error_) throw EngineAborting{};
+      commute_.enqueue_waiter(obj, task);
+      park_locked(lock, r, Wait::kCommute);
+      // Not handed the token: dequeued by a failure or a cancellation.
+      if (commute_.holder(obj) != task) {
+        if (cancelled()) throw TenantUnwind{};
+        throw EngineAborting{};
       }
     }
+    r.took_commute_token = true;
   }
   return bytes;
 }
 
-void ThreadEngine::wait_unblocked(TaskNode* task,
-                                  std::unique_lock<std::mutex>& lock) {
-  // Sleep until the serializer delivers the unblock.  A compensating
-  // worker keeps ready tasks flowing; every wait edge points to a record
-  // strictly ahead in some queue, so the waits-for graph is acyclic and
-  // the unblock always arrives (or the run aborts on first_error_).
-  JADE_TRACE("unblk-enter " << task->name());
-  // The notice may already be here: the serializer delivers it without mu_.
-  if (!unblocked_.contains(task)) {
-    block_locked(task, lock, /*spare=*/true, [this, task] {
-      return unblocked_.contains(task) || first_error_ != nullptr;
-    });
-  }
-  if (unblocked_.erase(task) == 0) throw EngineAborting{};
-  JADE_TRACE("unblk-exit " << task->name());
-}
-
 void ThreadEngine::charge(TaskNode* task, double units) {
-  // No lock: the executing thread owns the running task's accounting and
-  // its slot's stat cell; the global total is folded at the end of run().
+  // No lock: the executing thread owns the task and its slot's cell.
   task->charged_work += units;
-  if (tls_engine_ == this && tls_slot_ != nullptr) {
-    tls_slot_->charged += units;
+  if (ThreadSlot* slot = current_slot()) {
+    slot->charged += units;
   } else {
     std::lock_guard<std::mutex> lock(mu_);
     stats_.total_charged_work += units;

@@ -8,43 +8,50 @@
 // completing a task take no engine-wide lock (docs/PERFORMANCE.md spells out
 // the hierarchy):
 //
-//   * The Serializer locks each object's declaration queue separately and
-//     is called from any engine thread; its ready notices push straight
-//     into the calling thread's deque.  The engine mutex mu_ guards only
-//     blocked-task coordination: unblock delivery, commute tokens, throttle
-//     waits and the first error.
-//   * Ready-task dispatch runs through per-thread Chase–Lev work-stealing
-//     deques (support/work_steal_deque.hpp).  A task enabled by thread T is
-//     pushed to T's own deque and executed LIFO for locality; idle threads
-//     steal FIFO.  Wakeups are targeted — a producer unparks exactly one
-//     idle thread (support/parker.hpp) instead of broadcasting.
+//   * The Serializer locks each object's declaration queue separately; its
+//     ready notices push straight into the calling thread's deque.  The
+//     engine mutex mu_ guards only waiting tasks: unblock delivery, commute
+//     tokens, the throttle queue and the first error.
+//   * Ready tasks go to per-thread Chase–Lev deques
+//     (support/work_steal_deque.hpp): LIFO for the owner, FIFO for idle
+//     stealers, and a producer unparks exactly one idle thread.
 //   * Object bytes live in a sharded BufferTable (engine/buffer_table.hpp)
-//     with stable per-object allocations, so data access (acquire_bytes)
-//     and host I/O (put_bytes/get_bytes) never contend with scheduling.
-//   * charge() is two plain writes: the running task is owned by its
-//     executing thread, and the global total folds per-thread cells into
-//     RuntimeStats at the end of run().
+//     with stable per-object allocations: data access and host I/O never
+//     contend with scheduling.
+//   * charge() is two plain writes into the running task and its thread's
+//     cell, folded into RuntimeStats at the end of run().
+//
+// A run uses exactly workers + 1 OS threads, the caller's and the pool's.
+// Each runs a native loop that switches into a *carrier* fiber
+// (support/fiber.hpp) running the find / execute / idle-park loop; task
+// bodies run on the carrier's stack, so a task that never waits costs no
+// context switch.  A task that must wait — for an unblock, a commute token
+// or the throttle — registers the wait under mu_ and parks: its carrier
+// switches out with the task on it, and the native loop goes on with a
+// fresh carrier.  The waker pushes the task onto a ready deque; a carrier
+// that pops it ends, and its native loop switches into the parked fiber.
+// No task ever runs on top of another task's stack.
 //
 // Throttling (Section 3.3): when too many tasks are outstanding, the
-// creating task suspends until the backlog drains — with the paper's
-// deadlock escape (when every other thread is asleep with nothing ready,
-// the creator gives up throttling, since only it can make progress).
+// creator parks in a FIFO until the gate that closed for it clears — with
+// the paper's deadlock escape: when every engine thread is idle with
+// nothing ready, the oldest suspended creator gives up throttling.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "jade/engine/buffer_table.hpp"
 #include "jade/engine/engine.hpp"
 #include "jade/sched/governor.hpp"
 #include "jade/sched/policies.hpp"
+#include "jade/support/fiber.hpp"
+#include "jade/support/intrusive_list.hpp"
 #include "jade/support/parker.hpp"
 #include "jade/support/work_steal_deque.hpp"
 
@@ -74,9 +81,8 @@ class ThreadEngine : public Engine, private SerializerListener {
                            std::uint8_t mode) override;
   void charge(TaskNode* task, double units) override;
   int machine_count() const override { return workers_requested_; }
-  /// The worker the task is (or was last) executing on; 0 for the root task
-  /// and for tasks not yet picked up.  Compensating workers report the id of
-  /// the worker slot they stand in for, keeping the result in
+  /// The worker the task is (or was last) executing on; 0 for tasks not yet
+  /// picked up.  The caller's thread reports 0 too, keeping the result in
   /// [0, machine_count()).
   MachineId machine_of(TaskNode* task) const override {
     return task->assigned_machine >= 0 ? task->assigned_machine : 0;
@@ -87,9 +93,8 @@ class ThreadEngine : public Engine, private SerializerListener {
   /// Exposed for white-box tests.
   Serializer& serializer() { return serializer_; }
 
-  /// Wakes every state_cv_ waiter so it re-evaluates its predicate against
-  /// externally changed state (a tenant cancelled by the server while its
-  /// creators are parked on the throttle or a commute token).
+  /// Has an engine thread wake the parked creators and commute waiters of
+  /// tenants the server cancelled, so they unwind.
   void notify_external() override;
 
  protected:
@@ -102,10 +107,14 @@ class ThreadEngine : public Engine, private SerializerListener {
   }
 
  private:
-  /// Everything one engine thread owns: its ready deque, its parking spot,
-  /// and stat cells only that thread writes (folded into RuntimeStats and
-  /// the metrics registry when run() ends).  Slot 0 is the root/drain
-  /// thread; 1..workers are the pool; later slots are compensating workers.
+  /// An executing task's engine state, on its carrier's stack and pointed
+  /// to by the task's engine_data while the body runs.
+  struct Running;
+  enum class Wait : std::uint8_t { kNone, kUnblock, kCommute, kThrottle };
+  static Running& running(TaskNode* task);
+
+  /// Everything one engine thread owns; slot 0 is the caller's thread.  The
+  /// stat cells are folded into RuntimeStats when run() ends.
   struct ThreadSlot {
     ThreadSlot(int index, MachineId machine) : index(index), machine(machine) {}
 
@@ -114,18 +123,14 @@ class ThreadEngine : public Engine, private SerializerListener {
     WorkStealDeque<TaskNode*> deque;
     Parker parker;
 
-    /// Set around complete_task: the completing thread is about to call
-    /// find_task, so the first task its completion enables needs no wakeup
-    /// — it will be popped locally.  Without this, every step of a
-    /// dependence chain wakes a stealer that migrates the chain, and two
-    /// threads ping-pong it with a futex round-trip per task.
+    /// Set around complete_task: the first task the completion enables is
+    /// popped locally and needs no wakeup.  Otherwise every step of a
+    /// dependence chain wakes a stealer, and two threads ping-pong it.
     std::uint32_t local_grants = 0;
-    /// Set when the running task took a commute token: its completion then
-    /// takes mu_ to return the tokens.  Tasks never migrate mid-body, so
-    /// the executing thread's slot owns this.
-    bool took_commute_token = false;
+    Fiber* current = nullptr;  ///< the fiber the native loop switched into
+    Fiber* next = nullptr;  ///< left by a carrier that ends for a woken task
+    Running* parking = nullptr;  ///< left by a task that parks
 
-    // Owner-thread-only cells (no sharing until the post-join fold).
     double charged = 0;
     std::uint64_t executed = 0;
     std::uint64_t stolen = 0;
@@ -133,166 +138,116 @@ class ThreadEngine : public Engine, private SerializerListener {
     std::size_t max_queue_depth = 0;
   };
 
-  /// RAII binding of the calling thread to (engine, slot): serializer
-  /// callbacks and charge() route through these thread-locals.  Saved and
-  /// restored so a task body that runs a nested Runtime behaves.
-  class TlsBinding {
-   public:
-    TlsBinding(ThreadEngine* engine, ThreadSlot* slot);
-    ~TlsBinding();
-
-   private:
-    ThreadEngine* prev_engine_;
-    ThreadSlot* prev_slot_;
-  };
-
   void on_task_created(TaskNode* task) override;
   void on_task_ready(TaskNode* task) override;
   void on_task_unblocked(TaskNode* task) override;
 
-  void worker_loop(ThreadSlot* slot);
-  /// Runs one ready task to completion on `slot`'s thread, then returns its
-  /// node to the serializer's pool (a failed task's stays until reset).
-  /// Takes mu_ only when a creator waits on the throttle, the task took a
-  /// commute token, or some task sleeps on state_cv_.
-  void execute(TaskNode* task, ThreadSlot* slot);
-  /// Pops the thread's own deque, then tries to steal; nullptr when no task
-  /// could be obtained (the caller decides whether to park).
-  TaskNode* find_task(ThreadSlot* self);
-  /// Bounded yield-spin between an empty find_task and parking: returns
-  /// true as soon as work appears (or stop), false when the budget runs out
-  /// and the caller should park.  While spinning the thread is not idle, so
-  /// producers skip the futex wake — in a producer-limited phase this
-  /// replaces a park/unpark round-trip per task with a scheduler yield,
-  /// which also hands the core back to the producer on small machines.
-  bool spin_for_work(ThreadSlot* slot);
-  /// Parks `slot` until a producer wakes it.  Registers in the idle set
-  /// first and re-checks for work (and `extra_wake`, when given) after
-  /// registering, so a concurrent producer cannot be missed.
-  void idle_park(ThreadSlot* slot, bool (ThreadEngine::*extra_wake)());
-  /// Removes `slot` from the idle set; false when a producer already
-  /// claimed it (an unpark is in flight and must be consumed).
-  bool idle_cancel(ThreadSlot* slot);
-  /// Unparks one idle thread, if any (the targeted-wake fast path).
-  void wake_one();
-  /// Unparks every idle thread (stop, first error, graph drained).
-  void unpark_all();
-  /// Rare-edge notifier: when every engine thread is now asleep with
-  /// nothing ready, blocked-in-body threads (throttle waiters) must
-  /// re-evaluate their give-up predicate.
-  void notify_if_all_asleep();
-  /// Same check, for callers already holding mu_.
-  void maybe_notify_all_asleep_locked();
-  /// Drain-thread wake condition, checked under mu_ after idle
-  /// registration: the run is over or failing.
-  bool drain_should_exit();
+  /// The calling thread's slot if bound to this engine, else nullptr.  Not
+  /// inlined: a parked task may resume on another thread, and must not
+  /// reuse a thread-local address computed before the park.
+  ThreadSlot* current_slot() const;
 
-  /// Blocks the calling task until on_task_unblocked fires for it; called
-  /// with mu_ held.
-  void wait_unblocked(TaskNode* task, std::unique_lock<std::mutex>& lock);
-  /// Sleeps the calling `task` on state_cv_ (mu_ held via `lock`) until
-  /// `wake()` holds — the one shape of every mid-body wait.  The task is
-  /// listed in blocked_ and its thread counted as sleeping meanwhile; with
-  /// `spare`, a spare worker is made sure of first (ensure_spare_worker).
-  template <class Wake>
-  void block_locked(TaskNode* task, std::unique_lock<std::mutex>& lock,
-                    bool spare, Wake&& wake);
-  /// Called (with mu_ held) before a task blocks mid-body: if no idle
-  /// thread remains, spawns a compensating worker so ready tasks always
-  /// have an empty-stack executor.  Tasks are never executed inline on a
-  /// blocked task's stack — inlining lets a helped task block on a task
-  /// buried beneath it on the same stack, a deadlock no wakeup can fix.
-  void ensure_spare_worker();
-  /// Records the first failure, wakes every waiter/parked thread.
+  /// An engine thread's native loop: runs carriers and woken tasks' fibers.
+  void thread_main(ThreadSlot* slot);
+  Fiber* new_carrier();
+  /// Executes tasks until the run stops or it pops a woken task; then it
+  /// returns, its carrier ends, and the task's fiber takes the thread.
+  void carrier_loop();
+  void run_root();
+  /// Runs one ready task and recycles its node (a failed task's stays until
+  /// reset).  Takes mu_ only for throttle waiters, commute tokens, failure.
+  void execute(TaskNode* task, ThreadSlot* slot);
+  /// Runs `body` as `r`'s task, then hands its commute tokens on; false
+  /// when the body failed.
+  template <class Body>
+  bool run_task(Running& r, Body&& body);
+  /// Pops the thread's own deque, then steals; nullptr when nothing found.
+  TaskNode* find_task(ThreadSlot* self);
+  /// Bounded yield-spin between an empty find_task and parking: true as
+  /// soon as work appears (or stop).  A spinning thread is not idle, so
+  /// producers skip the futex wake and the core goes back to them.
+  bool spin_for_work();
+  /// Parks the thread until a producer wakes it; registers as idle first
+  /// and re-checks after, so a concurrent producer cannot be missed.  The
+  /// last thread to go idle gives the oldest throttled creator up.
+  void idle_park(ThreadSlot* slot);
+  /// Pushes a ready or woken task onto the calling thread's own deque (LIFO
+  /// locality for dependence chains) and wakes a stealer, unless a local
+  /// grant says this thread pops it itself.
+  void push_ready(TaskNode* task);
+  void wake_one();  ///< unparks one idle thread, if any
+  /// Every carrier returns at its next loop check; idle threads unpark.
+  void stop();
+  void stop_if_drained();
+  /// A suspended fiber is about to be switched back in; after a failure,
+  /// the last one stops the run.
+  void unsuspend();
+
+  /// Parks the calling task, waiting for `why`, until wake_locked; returns
+  /// with mu_ held again, maybe on another thread.
+  void park_locked(std::unique_lock<std::mutex>& lock, Running& r, Wait why);
+  /// Readies a parked or parking task, else a no-op (mu_ held).
+  void wake_locked(Running& r);
+  /// Dequeues and wakes the parked tasks `pick` selects (mu_ held).
+  template <class Pick>
+  void wake_parked_locked(Pick&& pick);
+  void wait_unblocked(Running& r, std::unique_lock<std::mutex>& lock);
+  /// True when every throttle gate that closed for creator `r` is clear.
+  bool gates_clear(const Running& r) const;
+  /// Releases, FIFO, every suspended creator whose gates cleared (mu_ held).
+  void maybe_release_throttled_locked();
+  /// Records the first failure and wakes every parked task to unwind.
   void record_error(std::exception_ptr err);
 
-  /// Registers the next ThreadSlot (single-threaded at run() start, under
-  /// mu_ afterwards) and publishes it to stealing threads.
-  ThreadSlot* add_slot(MachineId machine);
-
-  static constexpr int kMaxSlots = 4097;  ///< 4096 workers + the root thread
-
-  /// The calling thread's binding, installed by TlsBinding.  Engine-tagged
-  /// so a nested Runtime inside a task body cannot misroute callbacks.
+  /// The calling thread's binding, set by thread_main and engine-tagged for
+  /// nested Runtimes.  Read only through current_slot().
   static thread_local ThreadEngine* tls_engine_;
   static thread_local ThreadSlot* tls_slot_;
 
   const int workers_requested_;
-  /// Water-mark predicates + suspension/give-up counters (shared
-  /// implementation with SimEngine); counters fold into stats_ at the end
-  /// of run().  Mutated only under mu_.
-  ThrottleGate throttle_;
+  ThrottleGate throttle_;  ///< water marks and counters; mutated under mu_
 
-  /// Internally locked per object queue; called without mu_ from every
-  /// engine thread.  Lock order: the serializer releases a queue lock
-  /// before calling a listener (on_task_unblocked takes mu_), and mu_ is
-  /// never held across a serializer call, so the two never nest.
+  /// Locked per object queue.  A queue lock is dropped before a listener
+  /// runs (on_task_unblocked takes mu_), and mu_ is never held across a
+  /// serializer call, so the two never nest.
   Serializer serializer_;
 
-  // --- blocked-task coordination: guarded by mu_ ---------------------------
-  // unblock delivery, commute-token ownership, throttle waits, first_error_.
+  // --- waiting tasks: guarded by mu_ ---------------------------------------
   std::mutex mu_;
-  std::condition_variable state_cv_;  ///< blocked tasks / throttled creators
-  std::unordered_set<TaskNode*> unblocked_;
-  /// Tasks asleep in a mid-body wait (block_locked).  A commute waiter
-  /// whose token holder is not among them needs no spare worker: the
-  /// holder is running and returns the token unaided, and should it block
-  /// later, its own wait makes sure of a spare.
-  std::unordered_set<const TaskNode*> blocked_;
-  /// Commuting-update exclusivity (Section 4.3 extension): commuters may
-  /// execute in any order but their accesses are mutually exclusive.  A
-  /// task takes an object's token at its first commute accessor and holds
-  /// it until completion.  Tasks taking tokens on several objects must do
-  /// so in a consistent global order (as with any lock).  Shared
-  /// implementation with SimEngine (sched/governor.hpp); here waiters sleep
-  /// on state_cv_ and race for a freed token, so the table's FIFO wait
-  /// queues stay unused.
+  IntrusiveList<Running> parked_;  ///< oldest first
+  /// Commuting-update exclusivity (Section 4.3 extension): a task holds an
+  /// object's token from its first commute accessor until completion;
+  /// waiters queue FIFO and the releaser hands the token over.
   CommuteTokenTable commute_;
-  /// Threads currently waiting on state_cv_ (changed under mu_, read
-  /// without it); notifications are skipped entirely when zero, so the
-  /// unblocked hot paths never take mu_.
-  std::atomic<int> cv_waiters_{0};
-  /// Creators currently suspended in the throttle loop (subset of
-  /// cv_waiters_); execute() takes mu_ to notify only when one exists.
-  std::atomic<int> throttle_waiters_{0};
-  std::vector<std::thread> workers_;
-  /// True once run() has executed; the next run() resets the scheduling
-  /// state for a fresh graph (objects and buffers persist).
-  bool ran_ = false;
-  /// First exception that escaped a task body (or a spec violation raised
-  /// inside one); rethrown from run() after the pool shuts down.
+  std::deque<Running*> throttled_;  ///< suspended creators, oldest first
+  std::atomic<int> throttle_waiters_{0};  ///< throttled_.size(), unlocked
+  /// First exception that escaped a task body; run() rethrows it.
   std::exception_ptr first_error_;
+  std::atomic<bool> failed_{false};  ///< first_error_ is set
+  std::atomic<int> suspended_{0};  ///< switched-out fibers holding a task
+  std::atomic<bool> external_{false};  ///< notify_external is pending
+
+  std::function<void(TaskContext&)> root_body_;  ///< until run_root takes it
+  std::atomic<bool> root_done_{false};
+  std::vector<std::thread> workers_;
+  bool ran_ = false;  ///< the next run() resets the scheduling state
 
   // --- object domain: independent of scheduling ----------------------------
   mutable std::mutex objects_mu_;  ///< ObjectTable structure only
   ObjectTable objects_;
   BufferTable buffers_;  ///< internally sharded
 
+  std::mutex stacks_mu_;  ///< leaf; taken only to start or end a carrier
+  StackPool stacks_;      ///< carriers' and parked tasks' stacks
+
   // --- dispatch domain: lock-free deques + a small idle-set mutex ----------
-  /// Per-thread slots, created at run() start and by ensure_spare_worker.
-  /// The array is pre-sized so slot publication is a single release store
-  /// of slot_count_; stealing threads scan [0, slot_count_).
-  std::vector<std::unique_ptr<ThreadSlot>> slots_;
-  std::atomic<int> slot_count_{0};
-  /// Ready tasks across all deques.  The single global fact the dispatch
-  /// path maintains; parking and the throttle give-up predicate need it.
-  std::atomic<std::int64_t> ready_count_{0};
-  /// Idle (parked or about-to-park) threads, popped by producers for
-  /// targeted wakes.  idle_mu_ is a leaf lock: acquired with or without
-  /// mu_, never the other way around.
+  std::vector<std::unique_ptr<ThreadSlot>> slots_;  ///< fixed during a run
+  std::atomic<std::int64_t> ready_count_{0};  ///< across all deques
+  /// Idle threads, popped by producers for targeted wakes.  idle_mu_ is a
+  /// leaf lock, taken with or without mu_.
   std::mutex idle_mu_;
   std::vector<ThreadSlot*> idle_stack_;
   std::atomic<int> idle_count_{0};
-  /// Threads asleep in any engine wait (parked idle, throttle sleeps,
-  /// dependency waits).  When every thread would be asleep with nothing
-  /// ready, a throttled creator is the only progress source and must give
-  /// up throttling instead of sleeping (see spawn()).  Nested helping
-  /// makes per-*task* counts wrong — a helped task sleeping on the root's
-  /// stack also parks the root — so this counts *threads*.
-  std::atomic<int> sleeping_threads_{0};
-  /// Worker threads + the root thread, once run() starts (grows when
-  /// compensating workers are spawned).
-  std::atomic<int> total_threads_{0};
   std::atomic<bool> stop_{false};
 
   std::chrono::steady_clock::time_point trace_epoch_{};

@@ -9,11 +9,8 @@
 //     extension): commuters may execute in any order but their accesses are
 //     mutually exclusive, so a task takes an object's token at its first
 //     commute accessor and holds it until completion (or an early no_cm).
-//     SimEngine and ClusterEngine queue waiters FIFO and hand the token
-//     over explicitly; ThreadEngine's waiters sleep on a condition variable
-//     and race for the freed token, so it never enqueues.  Token release at
-//     with-cont and at completion/kill goes through the table's two release
-//     methods, each caller supplying its own hand-off.
+//     Waiters queue FIFO; the table's two release methods (with-cont and
+//     completion/kill) hand the token over through the caller's hook.
 //   * ThrottleGate — suppression of excess task creation (Section 3.3,
 //     Figure 7(e)): the global and per-tenant water-mark decisions plus the
 //     suspension/give-up accounting, folded into RuntimeStats at the end of
@@ -118,9 +115,7 @@ class CommuteTokenTable {
 
 /// Water-mark predicates and accounting for task-creation throttling.  The
 /// gate owns the suspension/give-up counters (the engines publish them into
-/// RuntimeStats when run() ends); the engine owns the waiting itself, which
-/// is engine-specific (SimEngine parks a sim process, ThreadEngine sleeps
-/// on a condition variable with a deadlock-escape give-up).
+/// RuntimeStats when run() ends); the engine owns the waiting itself.
 class ThrottleGate {
  public:
   explicit ThrottleGate(ThrottleConfig config) : config_(config) {}

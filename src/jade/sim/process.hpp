@@ -2,55 +2,26 @@
 //
 // SimEngine must let an *unmodified* task body pause in virtual time in the
 // middle of its execution — that is exactly what a `with-cont` that converts
-// a deferred right does (Section 4.2).  C++ cannot suspend a plain function,
-// so each simulated activity runs as a fiber: a `ucontext` with its own
-// stack, switched to and from on the one OS thread that runs the
-// simulation.  At most one fiber (or the coordinator) runs at any instant,
-// and a park is a plain context switch with no OS thread involved.  The
-// result behaves like coroutines with full stacks: deterministic, and host
-// parallelism plays no role in the simulated timing.
-//
-// Stacks come from a StackPool owned by the Simulation: each is a
-// guard-paged `mmap` block that a finished process hands back for the next
-// one to reuse.  The fiber's saved context lives at the top of its stack
-// block, so a Process stays small; the Simulation frees it when it
-// finishes, or keeps it until the end if it was aborted.
+// a deferred right does (Section 4.2).  Each simulated activity runs as a
+// fiber (support/fiber.hpp) on the one OS thread that runs the simulation,
+// so a park is a plain context switch: deterministic coroutines with full
+// stacks.  A finished process hands its stack back to the Simulation's
+// StackPool; the Simulation frees the Process then, or keeps it until the
+// end if it was aborted.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <list>
 #include <string>
-#include <vector>
 
+#include "jade/support/fiber.hpp"
 #include "jade/support/time.hpp"
 
 namespace jade {
 
 class Simulation;
-struct Fiber;
-
-/// The guard-paged fiber stacks of one Simulation.  A stack is taken when
-/// a process first runs and given back when it finishes; every block is
-/// unmapped when the pool is destroyed.  Not thread-safe: a simulation runs
-/// on one thread at a time.
-class StackPool {
- public:
-  StackPool() = default;
-  ~StackPool();
-
-  StackPool(const StackPool&) = delete;
-  StackPool& operator=(const StackPool&) = delete;
-
-  Fiber* acquire();
-  void release(Fiber* f);
-
- private:
-  std::vector<Fiber*> all_;  ///< every mapped block, for the destructor
-  std::vector<Fiber*> free_;
-};
 
 /// One cooperative activity.  Created via Simulation::spawn; never run
 /// directly.
@@ -83,16 +54,14 @@ class Process {
   friend class Simulation;
 
   /// Switches to this process (starting its fiber on first use) until it
-  /// parks or finishes.  Called by the coordinator, or by another process
-  /// (Simulation::abort); the caller's context is saved on its own stack.
+  /// parks or finishes; called by the coordinator, or by Simulation::abort.
   void run_until_parked(StackPool& stacks);
 
-  /// Called from inside the process: switches back to whoever resumed it
-  /// and returns when resumed again.
+  /// Called from inside the process: returns when resumed again.
   void park();
 
-  /// The fiber's entry: runs the body, then switches out for good.
-  static void fiber_main(unsigned hi, unsigned lo);
+  /// The fiber's entry: runs the body and records how it ended.
+  static void fiber_main(void* self);
 
   Simulation* sim_;
   /// This process's position in Simulation::processes_, for its erasure.

@@ -4,11 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 
 #include "jade/core/runtime.hpp"
 #include "jade/engine/sim_engine.hpp"
 #include "jade/mach/presets.hpp"
+#include "os_threads.hpp"
 
 namespace jade {
 namespace {
@@ -301,15 +301,6 @@ TEST(SimEngineConfig, RejectsBadContexts) {
   EXPECT_THROW(Runtime rt(cfg), ConfigError);
 }
 
-/// The OS threads of this process: the entries of /proc/self/task.
-std::size_t os_thread_count() {
-  std::size_t n = 0;
-  for ([[maybe_unused]] const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/task"))
-    ++n;
-  return n;
-}
-
 TEST(SimEngineFibers, WholeRunOccupiesOneOsThread) {
   // Every task parks mid-body: it fetches objects from other workstations
   // and converts a deferred read with a with-continuation that waits for
@@ -320,9 +311,9 @@ TEST(SimEngineFibers, WholeRunOccupiesOneOsThread) {
   constexpr int kLinks = 256;
   std::vector<SharedRef<double>> objs;
   for (int c = 0; c < kChains; ++c) objs.push_back(rt.alloc<double>(4));
-  const std::size_t before = os_thread_count();
-  std::size_t fewest = before;
-  std::size_t most = 0;
+  const int before = os_threads();
+  int fewest = before;
+  int most = 0;
   int ran = 0;
   rt.run([&](TaskContext& ctx) {
     for (int link = 0; link < kLinks; ++link) {
@@ -338,7 +329,7 @@ TEST(SimEngineFibers, WholeRunOccupiesOneOsThread) {
               t.charge(1e3);
               t.with_cont([&](AccessDecl& d) { d.rd(other); });
               t.write(own)[0] += t.read(other)[0] + 1.0;
-              const std::size_t now = os_thread_count();
+              const int now = os_threads();
               fewest = std::min(fewest, now);
               most = std::max(most, now);
               ++ran;

@@ -1,16 +1,16 @@
 // ThreadEngine-specific concurrency tests: the sharded buffer table, the
 // determinism contract under real parallelism (results must equal the
 // SerialEngine's bit-for-bit, also with many tasks creating children into
-// shared queues at once), the throttle deadlock-escape, and
-// compensating-worker growth: when every pool thread is blocked, and its
-// absence when commuters merely queue behind a running token holder; and
-// the creator never touching a task that completed and was recycled before
-// its spawn returned.
+// shared queues at once), the throttle deadlock-escape, a blocked task
+// freeing its thread for the child it waits on, commuters queueing behind
+// a running token holder on a fixed set of threads, and the creator never
+// touching a task that completed and was recycled before its spawn
+// returned.
 //
 // The scheduling tests are built so the interesting path is *forced*, not
 // raced into: the throttle test constructs a graph whose backlog cannot
-// drain until the creator gives up, and the compensating test blocks the
-// only pool worker on a child that no existing thread can run.
+// drain until the creator gives up, and the blocked-worker test blocks the
+// only pool worker on a child that no other thread can run.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -28,6 +28,7 @@
 #include "jade/core/runtime.hpp"
 #include "jade/engine/buffer_table.hpp"
 #include "jade/engine/thread_engine.hpp"
+#include "os_threads.hpp"
 
 namespace jade {
 namespace {
@@ -224,45 +225,46 @@ TEST(ThreadStress, ThrottledCreatorGivesUpInsteadOfDeadlocking) {
   EXPECT_GE(rt.stats().throttle_giveups, 1u);
 }
 
-// Compensating workers: with a one-worker pool, that worker's task blocks on
-// a child it created — a child no existing thread can run (the root is busy
-// in its own body, the worker is the blocker).  The engine must grow the
-// pool by a compensating worker rather than deadlock; inlining the child on
-// the blocked worker's stack is not an option the engine may take (see
-// ensure_spare_worker in the engine).
-TEST(ThreadStress, BlockedWorkerSpawnsCompensatingWorker) {
+// A blocked task frees its thread: with a one-worker pool, that worker's
+// task blocks on a child it created — a child no other thread can run (the
+// root is busy in its own body).  The blocked task parks its fiber and the
+// worker runs the child; neither inlining the child on the blocked task's
+// stack nor starting another thread is an option the engine may take.
+TEST(ThreadStress, BlockedWorkerParksAndRunsTheChild) {
   RuntimeConfig cfg;
   cfg.engine = EngineKind::kThread;
   cfg.threads = 1;
+  const int threads = cfg.threads;
   Runtime rt(std::move(cfg));
   auto w = rt.alloc<std::uint64_t>(1, "w");
+  const int before = os_threads_at_rest();
   std::atomic<bool> done{false};
+  int threads_in_child = 0;
   rt.run([&](TaskContext& ctx) {
     ctx.withonly([&](AccessDecl& d) { d.rd_wr(w); },
-                 [w, &done](TaskContext& t) {
+                 [&](TaskContext& t) {
                    // Child's record enqueues ahead of ours; accessing w now
                    // must block until the child retires it.
                    t.withonly([&](AccessDecl& d) { d.rd_wr(w); },
-                              [w, &done](TaskContext& c) {
+                              [&](TaskContext& c) {
                                 c.read_write(w)[0] = 42;
+                                threads_in_child = os_threads();
                                 done.store(true, std::memory_order_release);
                               });
                    t.read_write(w)[0] += 1;
                  });
     // Keep the root thread out of the task-stealing pool until the child
-    // ran: only a compensating worker can execute it.
+    // ran: only the blocked task's worker can execute it.
     while (!done.load(std::memory_order_acquire)) std::this_thread::yield();
   });
   EXPECT_EQ(rt.get(w)[0], 43u);
-  EXPECT_GE(rt.stats().compensating_workers, 1u);
+  EXPECT_EQ(threads_in_child, before + threads);
 }
 
 // Commute contention: every task commutes on one accumulator and holds its
 // token for a few microseconds, so ready commuters pile up behind whichever
-// task holds it.  The holder is running, not blocked — it returns the token
-// unaided — so a waiter needs no compensating worker.  Starting one per
-// waiter would grow the pool toward the number of ready commuters, past
-// the engine's slot limit at ~10k tasks.
+// task holds it.  Each waiter parks in the token's FIFO; the pool keeps its
+// size whatever the number of waiters.
 TEST(ThreadStress, CommuteContentionKeepsThreadsBounded) {
   constexpr int kTasks = 2000;
   RuntimeConfig cfg;
@@ -271,31 +273,32 @@ TEST(ThreadStress, CommuteContentionKeepsThreadsBounded) {
   const int threads = cfg.threads;
   Runtime rt(std::move(cfg));
   auto acc = rt.alloc<std::uint64_t>(1, "acc");
+  ThreadHighWater threads_seen;
+  const int before = os_threads_at_rest();
   rt.run([&](TaskContext& ctx) {
     for (int i = 0; i < kTasks; ++i) {
       ctx.withonly([&](AccessDecl& d) { d.cm(acc); },
-                   [acc, i](TaskContext& t) {
+                   [&, i](TaskContext& t) {
                      auto h = t.commute(acc);
                      const auto until = std::chrono::steady_clock::now() +
                                         std::chrono::microseconds(5);
                      while (std::chrono::steady_clock::now() < until) {
                      }
                      h[0] += static_cast<std::uint64_t>(i) + 1;
+                     if (i % 16 == 0) threads_seen.sample();
                    });
     }
   });
   EXPECT_EQ(rt.get(acc)[0],
             static_cast<std::uint64_t>(kTasks) * (kTasks + 1) / 2);
-  EXPECT_LE(rt.stats().compensating_workers,
-            static_cast<std::uint64_t>(threads));
+  EXPECT_EQ(threads_seen.max(), before + threads);
 }
 
 // Completed tasks go back to the serializer's pool at once, so a task that
 // a worker steals, runs and completes before its creator's spawn has
 // returned may already be a recycled node by then.  Nothing may read it
 // after create_task: the tracer takes the id and name while the task cannot
-// yet be enabled.  The timing is not forced (a throttled creator would
-// grow compensating workers without bound), but TSan needs no overlap: a
+// yet be enabled.  The timing is not forced, but TSan needs no overlap: a
 // read after the deque push is unordered with the worker's release and is
 // reported whenever the task completes.  Elsewhere it reads a blank node.
 TEST(ThreadStress, TracedSpawnNeverReadsARecycledTask) {
